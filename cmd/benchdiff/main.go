@@ -18,7 +18,11 @@
 //     regress when they FALL, time/latency/work columns ("(s)", "(ms)",
 //     "refine...", "settled", "rpcs", ...) regress when they RISE.
 //     Identity columns (dataset, k, workers, ...) and cells below the
-//     noise floor are skipped.
+//     noise floor are skipped;
+//   - table shape: a changed table count, row count or header list is a
+//     regression, since cells are matched by position and a reshaped
+//     table would otherwise drop out of the gate unnoticed. Reshaping an
+//     experiment therefore comes with a rewritten baseline.
 //
 // Two gates apply. Work-counter columns are deterministic for a fixed
 // seed and config, so they catch algorithmic regressions
@@ -38,6 +42,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,7 +92,7 @@ func run(args []string, stdout io.Writer) (int, error) {
 		return 2, fmt.Errorf("no baselines found in %s", *baseDir)
 	}
 
-	var regressions, warnings int
+	regressions := 0
 	for _, name := range names {
 		base, err := readReport(filepath.Join(*baseDir, "BENCH_"+name+".json"))
 		if err != nil {
@@ -97,12 +102,10 @@ func run(args []string, stdout io.Writer) (int, error) {
 		if err != nil {
 			return 2, fmt.Errorf("current artifact for %q missing (did the bench job run it?): %w", name, err)
 		}
-		r, w := diffExperiment(stdout, name, base, cur, *threshold, *timeThr)
-		regressions += r
-		warnings += w
+		regressions += diffExperiment(stdout, name, base, cur, *threshold, *timeThr)
 	}
-	fmt.Fprintf(stdout, "\nbenchdiff: %d experiment(s), %d regression(s), %d warning(s), thresholds %.0f%% (counters) / %.0f%% (wall clock)\n",
-		len(names), regressions, warnings, *threshold*100, *timeThr*100)
+	fmt.Fprintf(stdout, "\nbenchdiff: %d experiment(s), %d regression(s), thresholds %.0f%% (counters) / %.0f%% (wall clock)\n",
+		len(names), regressions, *threshold*100, *timeThr*100)
 	if regressions > 0 {
 		return 1, nil
 	}
@@ -142,12 +145,12 @@ func readReport(path string) (*report, error) {
 	return &r, nil
 }
 
-// diffExperiment compares one experiment and returns (regressions,
-// warnings) found. threshold gates deterministic counter columns,
+// diffExperiment compares one experiment and returns the number of
+// regressions found. threshold gates deterministic counter columns,
 // timeThr gates wall-clock-dependent ones.
-func diffExperiment(w io.Writer, name string, base, cur *report, threshold, timeThr float64) (int, int) {
+func diffExperiment(w io.Writer, name string, base, cur *report, threshold, timeThr float64) int {
 	fmt.Fprintf(w, "== %s (scale %s)\n", name, base.Scale)
-	regressions, warnings := 0, 0
+	regressions := 0
 
 	// Wall clock of the whole experiment.
 	if verdict := compare(base.ElapsedSec, cur.ElapsedSec, false, timeThr, minSeconds); verdict != "" {
@@ -158,14 +161,15 @@ func diffExperiment(w io.Writer, name string, base, cur *report, threshold, time
 	}
 
 	if len(base.Tables) != len(cur.Tables) {
-		fmt.Fprintf(w, "  WARNING: table count changed (%d -> %d); cell comparison skipped\n", len(base.Tables), len(cur.Tables))
-		return regressions, warnings + 1
+		fmt.Fprintf(w, "  REGRESSION: table count changed (%d -> %d); rewrite the baseline with the new shape\n", len(base.Tables), len(cur.Tables))
+		return regressions + 1
 	}
 	for ti, bt := range base.Tables {
 		ct := cur.Tables[ti]
-		if len(bt.Rows) != len(ct.Rows) || len(bt.Headers) != len(ct.Headers) {
-			fmt.Fprintf(w, "  WARNING: table %q shape changed; skipped\n", bt.Title)
-			warnings++
+		if len(bt.Rows) != len(ct.Rows) || !slices.Equal(bt.Headers, ct.Headers) {
+			fmt.Fprintf(w, "  REGRESSION: table %q shape changed (%d rows %v -> %d rows %v); rewrite the baseline with the new shape\n",
+				bt.Title, len(bt.Rows), bt.Headers, len(ct.Rows), ct.Headers)
+			regressions++
 			continue
 		}
 		for ci, header := range bt.Headers {
@@ -196,7 +200,7 @@ func diffExperiment(w io.Writer, name string, base, cur *report, threshold, time
 			}
 		}
 	}
-	return regressions, warnings
+	return regressions
 }
 
 // Noise floors: values this small in the baseline are jitter, not signal.

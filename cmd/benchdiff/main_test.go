@@ -159,8 +159,17 @@ func TestShapeChangeWarns(t *testing.T) {
 	cur.Tables[0].Rows = cur.Tables[0].Rows[:1]
 	writeReport(t, curDir, "figure6", cur)
 	code, out := runDiff(t, baseDir, curDir)
-	if code != 0 || !strings.Contains(out, "WARNING") {
-		t.Fatalf("exit %d, output:\n%s", code, out)
+	if code != 1 || !strings.Contains(out, "shape changed") {
+		t.Fatalf("row count change: exit %d, output:\n%s", code, out)
+	}
+
+	// Same column count, renamed column: cells would pair up wrongly.
+	cur = baseReport()
+	cur.Tables[0].Headers[1] = "renamed"
+	writeReport(t, curDir, "figure6", cur)
+	code, out = runDiff(t, baseDir, curDir)
+	if code != 1 || !strings.Contains(out, "shape changed") {
+		t.Fatalf("header change: exit %d, output:\n%s", code, out)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"rkranks/internal/server"
+	"rkranks/internal/api"
 )
 
 // TestClusterServeAndSigtermDrain boots the real binary path (run) with a
@@ -34,7 +34,7 @@ func TestClusterServeAndSigtermDrain(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("cluster never became ready")
 	}
-	c := server.NewClient("http://" + addr)
+	c := api.NewClient("http://" + addr)
 
 	doc, err := c.Health(context.Background())
 	if err != nil {

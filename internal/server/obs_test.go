@@ -83,7 +83,7 @@ func TestRequestIDOnErrors(t *testing.T) {
 // durations fit inside the recorded total.
 func TestRequestzSpans(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{SlowQueryThreshold: -1}, false)
-	c := NewClient(ts.URL)
+	c := api.NewClient(ts.URL)
 	if _, err := c.Query(context.Background(), "dynamic", 3, 8, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestRequestzSpans(t *testing.T) {
 // request counters and per-stage histograms this PR exists to expose.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{EnableMetrics: true}, false)
-	c := NewClient(ts.URL)
+	c := api.NewClient(ts.URL)
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
 		if _, err := c.Query(ctx, "dynamic", int32(i), 5, 0); err != nil {
@@ -179,7 +179,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // historic top-level latency_ms is the query route's.
 func TestStatszLatencyByRoute(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{}, false)
-	c := NewClient(ts.URL)
+	c := api.NewClient(ts.URL)
 	ctx := context.Background()
 	if _, err := c.Query(ctx, "dynamic", 3, 5, 0); err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func newTestServerOn(t *testing.T, cfg Config, withIndex bool, g *graph.Graph) (
 
 func TestQueryEndpoint(t *testing.T) {
 	_, ts, g := newTestServer(t, Config{}, false)
-	c := NewClient(ts.URL)
+	c := api.NewClient(ts.URL)
 
 	resp, err := c.Query(context.Background(), "dynamic", 7, 5, 0)
 	if err != nil {
@@ -94,7 +94,7 @@ func TestQueryEndpoint(t *testing.T) {
 
 func TestQueryValidationMapsTo400(t *testing.T) {
 	_, ts, g := newTestServer(t, Config{}, false)
-	c := NewClient(ts.URL)
+	c := api.NewClient(ts.URL)
 	cases := []struct {
 		name string
 		algo string
@@ -118,7 +118,7 @@ func TestQueryValidationMapsTo400(t *testing.T) {
 
 func TestBatchEndpoint(t *testing.T) {
 	_, ts, g := newTestServer(t, Config{}, true)
-	c := NewClient(ts.URL)
+	c := api.NewClient(ts.URL)
 	queries := []int32{1, 2, 3, 4, 5, 6, 7, 8}
 	resp, err := c.Batch(context.Background(), "", queries, 5, 0)
 	if err != nil {
@@ -178,7 +178,7 @@ func TestPprofOptIn(t *testing.T) {
 
 func TestHealthzAndStatsz(t *testing.T) {
 	_, ts, g := newTestServer(t, Config{}, true)
-	c := NewClient(ts.URL)
+	c := api.NewClient(ts.URL)
 	doc, err := c.Health(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +233,7 @@ func TestHealthzAndStatsz(t *testing.T) {
 func TestDeadlineMapsTo504(t *testing.T) {
 	// Naive with a huge k cannot finish in 1ms on the slow graph.
 	_, ts, _ := newTestServerOn(t, Config{}, false, slowGraph())
-	c := NewClient(ts.URL)
+	c := api.NewClient(ts.URL)
 	_, err := c.Query(context.Background(), "naive", 0, 500, time.Millisecond)
 	if !isStatus(err, 504) {
 		t.Fatalf("got %v, want HTTP 504", err)
@@ -246,7 +246,7 @@ func TestAdmissionControl(t *testing.T) {
 	// query can finish before the next goroutine is even scheduled, so
 	// nothing ever queues and nothing is shed.
 	s, ts, _ := newTestServerOn(t, Config{MaxInFlight: 1, MaxQueue: 1}, false, slowGraph())
-	c := NewClient(ts.URL)
+	c := api.NewClient(ts.URL)
 	if s.cfg.MaxQueue != 1 {
 		t.Fatalf("MaxQueue = %d", s.cfg.MaxQueue)
 	}
@@ -263,7 +263,7 @@ func TestAdmissionControl(t *testing.T) {
 			_, err := c.Query(context.Background(), "naive", 1, 300, 2*time.Second)
 			st := 200
 			if err != nil {
-				var se *StatusError
+				var se *api.StatusError
 				if !errors.As(err, &se) {
 					t.Errorf("transport error: %v", err)
 					return
@@ -291,7 +291,7 @@ func TestAdmissionControl(t *testing.T) {
 // handler state, admission bookkeeping, metrics).
 func TestConcurrentClientsSharedIndex(t *testing.T) {
 	_, ts, g := newTestServer(t, Config{MaxInFlight: 8, MaxQueue: 64}, true)
-	c := NewClient(ts.URL)
+	c := api.NewClient(ts.URL)
 
 	// Same result semantics the engine tests assert: the rank multiset
 	// must match the index-free oracle (tie groups may resolve to
@@ -313,7 +313,7 @@ func TestConcurrentClientsSharedIndex(t *testing.T) {
 		}
 		return fmt.Sprint(ranks)
 	}
-	truthful := func(q int32, e Entry) bool {
+	truthful := func(q int32, e api.Entry) bool {
 		oracleMu.Lock()
 		defer oracleMu.Unlock()
 		return rank.Of(sssp.New(g), e.Node, q) == e.Rank
@@ -356,7 +356,7 @@ func TestConcurrentClientsSharedIndex(t *testing.T) {
 // admitted response is written.
 func TestDrainNoDroppedResponses(t *testing.T) {
 	s, ts, _ := newTestServerOn(t, Config{MaxInFlight: 4, MaxQueue: 4}, false, slowGraph())
-	c := NewClient(ts.URL)
+	c := api.NewClient(ts.URL)
 
 	// Launch slow queries and wait until all four are admitted.
 	const n = 4

@@ -34,7 +34,8 @@ func benchExperiment(b *testing.B, name string) {
 	}
 }
 
-// One benchmark per paper artifact (see DESIGN.md §5 / EXPERIMENTS.md).
+// One benchmark per paper artifact (the experiment names rkbench -list
+// prints).
 
 func BenchmarkTable3ReverseTopKSizes(b *testing.B)   { benchExperiment(b, "table3") }
 func BenchmarkTable4AgreementRate(b *testing.B)      { benchExperiment(b, "table4") }
@@ -69,24 +70,6 @@ func benchQuery(b *testing.B, algo core.Algorithm) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Query(algo, int32(i%g.N()), 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Intra-query parallelism: the same workload as BenchmarkQueryDynamic with
-// speculative refine workers. Results are byte-identical; compare ns/op
-// against the serial benchmark to see the speedup (multi-core) or the
-// pipeline overhead (single-core / oversubscribed).
-func BenchmarkQueryDynamicRefine1(b *testing.B) { benchQueryRefine(b, 1) }
-func BenchmarkQueryDynamicRefine4(b *testing.B) { benchQueryRefine(b, 4) }
-
-func benchQueryRefine(b *testing.B, workers int) {
-	g := benchGraph()
-	e := core.NewEngine(g, core.Options{RefineWorkers: workers})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Query(core.Dynamic, int32(i%g.N()), 10); err != nil {
 			b.Fatal(err)
 		}
 	}

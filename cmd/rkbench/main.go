@@ -1,7 +1,6 @@
 // Command rkbench regenerates the paper's evaluation tables and figures
 // (Section 6) on the synthetic stand-in datasets. Each experiment prints a
-// table whose rows mirror the paper's; see EXPERIMENTS.md for the
-// paper-vs-measured record.
+// table whose rows mirror the paper's.
 //
 // Usage:
 //
@@ -10,7 +9,7 @@
 //	rkbench -exp figure6,latency -json       # a comma-separated subset
 //	rkbench -exp table11 -queries 200 -seed 7
 //	rkbench -exp serving -workers 8  # pooled Indexed QPS on a shared index
-//	rkbench -exp latency -refine-workers 8   # intra-query parallelism sweep
+//	rkbench -exp latency             # single-query p50/p99, one engine
 //	rkbench -exp serving_http        # in-process HTTP load sweep
 //	rkbench -list
 //
@@ -52,9 +51,9 @@ type jsonReport struct {
 	// AllocsPerQuery / BytesPerQuery summarize the steady-state allocation
 	// cost of the warm batch-serving hot path at this scale, measured once
 	// per invocation (experiments.Runner.SteadyStateAllocs); nil in
-	// load-generator mode. The per-sweep-point breakdown lives in the
-	// latency experiment's allocs/query and bytes/query columns, which is
-	// where benchdiff gates it.
+	// load-generator mode. The per-dataset breakdown lives in the latency
+	// experiment's allocs/query and bytes/query columns, which is where
+	// benchdiff gates it.
 	AllocsPerQuery *float64       `json:"allocs_per_query,omitempty"`
 	BytesPerQuery  *float64       `json:"bytes_per_query,omitempty"`
 	Tables         []*stats.Table `json:"tables"`
@@ -75,7 +74,6 @@ func run(args []string, stdout io.Writer) error {
 		scale   = fs.String("scale", "default", "dataset scale: small|default")
 		queries = fs.Int("queries", 0, "override queries per measurement point")
 		workers = fs.Int("workers", 0, "max pool workers for the serving experiment (0 = GOMAXPROCS)")
-		refine  = fs.Int("refine-workers", 0, "max intra-query refine workers for the latency experiment (0 = GOMAXPROCS)")
 		seed    = fs.Int64("seed", 0, "override random seed")
 		ksFlag  = fs.String("ks", "", "override k axis, comma separated (e.g. 5,10,20)")
 		jsonOut = fs.Bool("json", false, "also write BENCH_<experiment>.json per experiment")
@@ -121,9 +119,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *workers > 0 {
 		cfg.Workers = *workers
-	}
-	if *refine > 0 {
-		cfg.RefineWorkers = *refine
 	}
 	if *seed != 0 {
 		cfg.Seed = *seed

@@ -125,12 +125,12 @@ func TestLoadGenMode(t *testing.T) {
 func TestRunLatencyWithJSON(t *testing.T) {
 	t.Chdir(t.TempDir())
 	var sb strings.Builder
-	err := run([]string{"-exp", "latency", "-scale", "small", "-queries", "4", "-refine-workers", "2", "-json"}, &sb)
+	err := run([]string{"-exp", "latency", "-scale", "small", "-queries", "4", "-json"}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if !strings.Contains(out, "=== latency") || !strings.Contains(out, "refine workers") {
+	if !strings.Contains(out, "=== latency") || !strings.Contains(out, "p50 (s)") {
 		t.Errorf("output:\n%s", out)
 	}
 	data, err := os.ReadFile("BENCH_latency.json")
@@ -153,7 +153,7 @@ func TestRunLatencyWithJSON(t *testing.T) {
 	if report.Experiment != "latency" || report.Scale != "small" || len(report.Tables) != 1 {
 		t.Errorf("report = %+v", report)
 	}
-	if rows := report.Tables[0].Rows; len(rows) < 4 {
-		t.Errorf("expected a sweep with >= 4 rows, got %d", len(rows))
+	if rows := report.Tables[0].Rows; len(rows) != 2 {
+		t.Errorf("expected one row per dataset (2), got %d", len(rows))
 	}
 }

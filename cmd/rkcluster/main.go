@@ -106,7 +106,6 @@ func run(args []string, logger *slog.Logger, ready chan<- string) error {
 
 		cacheMB     = fs.Int("cache-mb", 0, "response cache budget in MiB (0 disables); duplicate in-flight queries coalesce onto one scatter")
 		poolSize    = fs.Int("pool", 0, "engine pool size PER SHARD (0 = GOMAXPROCS-derived)")
-		refine      = fs.Int("refine-workers", 0, "intra-query refine workers per engine")
 		algo        = fs.String("algo", "", "default algorithm (empty = indexed when every shard has an index, else dynamic)")
 		strict      = fs.Bool("strict", false, "refuse queries (503) when any shard is unavailable instead of answering partially")
 		firstRoundK = fs.Int("first-round-k", 0, "first scatter round's per-shard k (0 = auto ceil(k/P)+2; >= k disables rank-floor pruning)")
@@ -145,7 +144,7 @@ func run(args []string, logger *slog.Logger, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	coord, err := buildCoordinator(g, topo, *refine,
+	coord, err := buildCoordinator(g, topo,
 		*buildIndex, *hubFrac, *rankFrac, *indexK, *genSeed, labels, cfg, logger)
 	if err != nil {
 		return err
@@ -333,9 +332,9 @@ func resolveLabels(g *graph.Graph, topo *api.Topology, path string, count int, s
 // remote rkserve replica sets when it lists shards, masked in-process
 // pools (optionally replicated) otherwise.
 func buildCoordinator(g *graph.Graph, topo *api.Topology,
-	refine int, buildIndex bool, h, m float64, k int, seed int64,
+	buildIndex bool, h, m float64, k int, seed int64,
 	labels *hub.Labels, cfg cluster.Config, logger *slog.Logger) (*cluster.Coordinator, error) {
-	opts := core.Options{RefineWorkers: refine, Labels: labels}
+	opts := core.Options{Labels: labels}
 	if P := len(topo.Shards); P > 0 {
 		partName := topo.Partitioner
 		if partName == "" {

@@ -100,7 +100,6 @@ func run(args []string, logger *slog.Logger, ready chan<- string) error {
 
 		cacheMB   = fs.Int("cache-mb", 0, "response cache budget in MiB (0 disables); duplicate in-flight queries coalesce onto one engine permit")
 		poolSize  = fs.Int("pool", 0, "engine pool size (0 = GOMAXPROCS-derived)")
-		refine    = fs.Int("refine-workers", 0, "intra-query refine workers per engine")
 		algo      = fs.String("algo", "", "default algorithm (empty = indexed when an index is loaded, else dynamic)")
 		inflight  = fs.Int("max-inflight", 0, "max requests served concurrently (0 = 2x pool)")
 		queue     = fs.Int("max-queue", 0, "max requests waiting for a slot (0 = 4x max-inflight)")
@@ -137,7 +136,7 @@ func run(args []string, logger *slog.Logger, ready chan<- string) error {
 
 	var healthExtra map[string]any
 	var shardNo, shardCount int
-	opts := core.Options{RefineWorkers: *refine}
+	var opts core.Options
 	if *shardSpec != "" {
 		mask, shard, shards, err := shardMask(g, *shardSpec, *shardPart)
 		if err != nil {

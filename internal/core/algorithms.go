@@ -17,7 +17,7 @@ func (e *Engine) naive(q int32, k int) *Result {
 		if p == q || !e.candidate(p) {
 			continue
 		}
-		bound, exact := e.refine(p, math.Inf(1), 0)
+		bound, exact := e.refine(p, math.Inf(1))
 		if exact && bound <= e.heap.kRank() {
 			e.offer(p, bound)
 		}
@@ -25,19 +25,39 @@ func (e *Engine) naive(q int32, k int) *Result {
 	return e.finish()
 }
 
-// static is the basic SDS-tree framework (Section 3, Algorithm 1): traverse
-// the transpose graph from q in distance order; rank-refine every dequeued
-// candidate immediately; expand a node's children only while it can still
-// qualify (Theorem 1: descendants rank no better than their ancestors).
-func (e *Engine) static(q int32, k int) *Result {
-	e.begin(q, k, Static)
+// sdsTree is the SDS-tree filter-and-refine traversal shared by every
+// engine but Naive: traverse the transpose graph from q in distance order,
+// decide each dequeued candidate, and expand a node's children only while
+// they can still qualify (Theorem 1: descendants rank no better than their
+// ancestors). The engines differ only in the per-candidate decision:
+//
+//   - Static (Section 3, Algorithm 1) rank-refines every candidate.
+//   - Dynamic (Section 4) delays candidacy to dequeue time and skips the
+//     refinement when the Theorem-2 lower bound — max(height, parent rank,
+//     visit count) — already exceeds kRank.
+//   - Indexed (Section 5, Algorithms 3-4) seeds the result heap from the
+//     Reverse Rank Dictionary of q, skips candidates whose exact rank the
+//     dictionary knows, and joins the Check Dictionary to the Theorem-2
+//     bound. Refinements feed their discoveries back into the index, so
+//     subsequent queries get faster (Table 14).
+//   - HubLabel adds a lower bound read off the hub labeling (labelBound).
+//
+// Every bound comparison is strict, so candidates tying the k-th rank are
+// still refined and tie-break through the result heap: every engine then
+// returns the canonical minimum k entries by (rank, node id), independent
+// of traversal and pruning order — the invariant the cluster coordinator's
+// shard merge relies on.
+func (e *Engine) sdsTree(a Algorithm, q int32, k int) *Result {
+	e.begin(q, k, a)
+	if e.indexing {
+		e.seedFromIndex()
+	}
 	e.tree.ResetReverse(q)
 	for {
 		v, d, ok := e.tree.Pop()
 		if !ok || e.stopped() {
 			break
 		}
-		seq := e.markTreeSettled(v)
 		e.stats.TreeSettled++
 		if v == q {
 			e.tree.Expand(v, d)
@@ -47,45 +67,59 @@ func (e *Engine) static(q int32, k int) *Result {
 			e.passThrough(v, d)
 			continue
 		}
-		e.refineAndSettle(v, d, seq)
+		if e.pruning && e.prune(v, d) {
+			continue
+		}
+		e.refineAndSettle(v, d)
 	}
 	return e.finish()
 }
 
-// dynamic is the Dynamic Bounded SDS-tree (Section 4): the candidacy
-// decision is delayed to dequeue time and a Theorem-2 lower bound —
-// max(height, parent rank, visit count) — skips the refinement entirely
-// when it already exceeds kRank. The comparison is strict so that
-// candidates tying the k-th rank are still refined and tie-break through
-// the result heap: every engine then returns the canonical minimum k
-// entries by (rank, node id), independent of traversal and pruning order
-// — the invariant the cluster coordinator's shard merge relies on.
-func (e *Engine) dynamic(q int32, k int) *Result {
-	e.begin(q, k, Dynamic)
-	e.tree.ResetReverse(q)
-	for {
-		v, d, ok := e.tree.Pop()
-		if !ok || e.stopped() {
-			break
+// prune tries the engine's refinement-avoiding tests on candidate v in
+// order — an exact Reverse Rank Dictionary hit (Indexed), the Theorem-2
+// bound joined with the Check Dictionary (Indexed), then the hub-label
+// bound (HubLabel) — and reports whether one of them settled v.
+func (e *Engine) prune(v int32, d float64) bool {
+	var check int32
+	if e.indexing {
+		// Read Check BEFORE LookupRank. Check(v) only bounds Rank(v, q)
+		// when q is not recorded in Reverse(q) with source v, and index
+		// writers publish the witness entry before raising the bound
+		// (Offer, then RaiseCheck — see applyRefineLog). Reading in the
+		// matching order guarantees that a bound covering the (v, q)
+		// exception is always read together with its visible witness; the
+		// reverse order could, on a shared concurrent index, observe a
+		// freshly raised bound while missing the just-offered exact rank
+		// and wrongly prune a true result.
+		check = e.idx.Check(v)
+		if r, known := e.idx.LookupRank(e.q, v); known {
+			e.indexHit(v, d, r)
+			return true
 		}
-		seq := e.markTreeSettled(v)
-		e.stats.TreeSettled++
-		if v == q {
-			e.tree.Expand(v, d)
-			continue
-		}
-		if !e.candidate(v) {
-			e.passThrough(v, d)
-			continue
-		}
-		lb := e.lowerBound(v, 0)
-		if lb > e.heap.kRank() {
-			e.skipCandidate(v, d, lb)
-			continue // prune the refinement (Theorem 2)
-		}
-		e.refineAndSettle(v, d, seq)
 	}
-	return e.finish()
+	lb := e.lowerBound(v, check)
+	kRank := e.heap.kRank()
+	if lb > kRank {
+		e.skipCandidate(v, d, lb)
+		return true
+	}
+	if !e.labeling {
+		return false
+	}
+	if kRank != kRankInf {
+		// The cheap Theorem-2 components did not disqualify v; scan the
+		// labeling before conceding a refinement. Skipped while the heap
+		// is short of k entries (kRank == kRankInf): nothing can be
+		// pruned yet, and an unbounded count would walk entire inverted
+		// lists.
+		if lbl := e.labelBound(v, d, kRank); lbl > kRank {
+			e.stats.LabelPruned++
+			e.skipCandidate(v, d, lbl)
+			return true
+		}
+	}
+	e.stats.LabelFallbacks++
+	return false
 }
 
 // skipCandidate records a candidate disqualified by its lower bound. Its
@@ -109,55 +143,6 @@ func (e *Engine) skipCandidate(v int32, d float64, lb int32) {
 		e.tree.Expand(v, d)
 	}
 	e.trace(v, d, TracePrunedByBound, lb, expand)
-}
-
-// indexed is the Dynamic Bounded SDS-tree with the Check / Reverse-Rank
-// dictionaries (Section 5, Algorithms 3-4). The result heap is seeded from
-// the Reverse Rank Dictionary of q; candidates whose exact rank the
-// dictionary already knows skip refinement, and the Check Dictionary joins
-// the Theorem-2 lower bound. Refinements feed their discoveries back into
-// the index, so subsequent queries get faster (Table 14).
-func (e *Engine) indexed(q int32, k int) *Result {
-	e.begin(q, k, Indexed)
-	e.seedFromIndex()
-	e.tree.ResetReverse(q)
-	for {
-		v, d, ok := e.tree.Pop()
-		if !ok || e.stopped() {
-			break
-		}
-		seq := e.markTreeSettled(v)
-		e.stats.TreeSettled++
-		if v == q {
-			e.tree.Expand(v, d)
-			continue
-		}
-		if !e.candidate(v) {
-			e.passThrough(v, d)
-			continue
-		}
-		// Read Check BEFORE LookupRank. Check(v) only bounds Rank(v, q)
-		// when q is not recorded in Reverse(q) with source v, and index
-		// writers publish the witness entry before raising the bound
-		// (Offer, then RaiseCheck — see applyRefineLog). Reading in the
-		// matching order guarantees that a bound covering the (v, q)
-		// exception is always read together with its visible witness; the
-		// reverse order could, on a shared concurrent index, observe a
-		// freshly raised bound while missing the just-offered exact rank
-		// and wrongly prune a true result.
-		check := e.idx.Check(v)
-		if r, known := e.idx.LookupRank(q, v); known {
-			e.indexHit(v, d, r)
-			continue
-		}
-		lb := e.lowerBound(v, check)
-		if lb > e.heap.kRank() {
-			e.skipCandidate(v, d, lb)
-			continue
-		}
-		e.refineAndSettle(v, d, seq)
-	}
-	return e.finish()
 }
 
 // seedFromIndex primes the result heap from the Reverse Rank Dictionary of
@@ -211,15 +196,6 @@ func (e *Engine) passThrough(v int32, d float64) {
 // height, count, parent (check-dictionary wins are folded into the final
 // max without attribution, mirroring the paper's three-component table).
 func (e *Engine) lowerBound(v, check int32) int32 {
-	return e.lowerBoundAt(v, check, true)
-}
-
-// lowerBoundAt is lowerBound with the Table-11 win attribution optional:
-// the speculative coordinator evaluates the bound twice per candidate —
-// once on stale state to decide whether launching a refinement could be
-// worthwhile, once at apply time for the real (serial-order) decision —
-// and only the latter may touch the stats.
-func (e *Engine) lowerBoundAt(v, check int32, attribute bool) int32 {
 	var height, count, parent int32
 	if e.bounds&BoundHeight != 0 {
 		height = e.tree.Depth(v)
@@ -230,15 +206,13 @@ func (e *Engine) lowerBoundAt(v, check int32, attribute bool) int32 {
 	if e.bounds&BoundParent != 0 {
 		parent = e.parentBound(v)
 	}
-	if attribute {
-		switch {
-		case height >= count && height >= parent:
-			e.stats.HeightWins++
-		case count >= parent:
-			e.stats.CountWins++
-		default:
-			e.stats.ParentWins++
-		}
+	switch {
+	case height >= count && height >= parent:
+		e.stats.HeightWins++
+	case count >= parent:
+		e.stats.CountWins++
+	default:
+		e.stats.ParentWins++
 	}
 	lb := height
 	if count > lb {

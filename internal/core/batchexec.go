@@ -13,9 +13,8 @@ import (
 // the graph, and the counted class — never on which query is being
 // answered. The query determines only where the search STOPS: finding the
 // query node (exact), reaching the kRank abort threshold, or exhausting
-// the frontier. replayRefinement (refiner.go) already exploits this within
-// one query to re-derive serial outcomes from speculative worker logs; the
-// batch arena extends the same argument across the queries of a batch.
+// the frontier. The batch arena exploits this across the queries of a
+// batch.
 //
 // When a Pool executes a batch, each engine keeps the settle logs of the
 // refinements it has run and, before launching a fresh search from p,

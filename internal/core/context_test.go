@@ -49,36 +49,32 @@ func TestQueryContextDeadline(t *testing.T) {
 
 // TestEngineReusableAfterCancel: abandoning a query mid-flight leaves the
 // engine consistent — the next (uncanceled) query returns byte-identical
-// results to a fresh engine, for the serial and the speculative pipeline.
+// results to a fresh engine.
 func TestEngineReusableAfterCancel(t *testing.T) {
 	g := gen.DBLPLike(*ctxTestGraph())
-	for _, workers := range []int{0, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			e := NewEngine(g, Options{RefineWorkers: workers})
-			for q := int32(0); q < 8; q++ {
-				ctx, cancel := context.WithTimeout(context.Background(), 500*time.Microsecond)
-				_, err := e.QueryContext(ctx, Dynamic, q, 10)
-				cancel()
-				if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-					t.Fatalf("q=%d: unexpected error %v", q, err)
-				}
-				// err == nil: the query beat the deadline — equally fine.
-			}
-			fresh := NewEngine(g, Options{})
-			for q := int32(0); q < 8; q++ {
-				got, err := e.Query(Dynamic, q, 10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := fresh.Query(Dynamic, q, 10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fmt.Sprint(got.Entries) != fmt.Sprint(want.Entries) {
-					t.Fatalf("q=%d: entries diverged after cancellation: %v != %v", q, got.Entries, want.Entries)
-				}
-			}
-		})
+	e := NewEngine(g, Options{})
+	for q := int32(0); q < 8; q++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Microsecond)
+		_, err := e.QueryContext(ctx, Dynamic, q, 10)
+		cancel()
+		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("q=%d: unexpected error %v", q, err)
+		}
+		// err == nil: the query beat the deadline — equally fine.
+	}
+	fresh := NewEngine(g, Options{})
+	for q := int32(0); q < 8; q++ {
+		got, err := e.Query(Dynamic, q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Query(Dynamic, q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got.Entries) != fmt.Sprint(want.Entries) {
+			t.Fatalf("q=%d: entries diverged after cancellation: %v != %v", q, got.Entries, want.Entries)
+		}
 	}
 }
 
@@ -91,7 +87,7 @@ func TestIndexNotPoisonedByCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(g, Options{RefineWorkers: 2})
+	e := NewEngine(g, Options{})
 	e.SetIndex(sh)
 	for q := int32(0); q < 12; q++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Microsecond)

@@ -17,9 +17,6 @@ import (
 // Engine evaluates reverse k-ranks queries against one graph. It owns
 // reusable per-query workspaces (Dijkstra searches plus epoch-stamped
 // node arrays), so queries after the first allocate nothing.
-// Options.RefineWorkers > 0 additionally starts that many persistent
-// worker goroutines on the engine's first query; they park between
-// queries and exit when the engine is garbage collected (parallel.go).
 //
 // An Engine is not safe for concurrent use; create one per goroutine. An
 // attached index is both read and written by Indexed queries (that is the
@@ -27,9 +24,7 @@ import (
 // and only if it is a concurrency-safe implementation (ridx.ShardedIndex,
 // reported by Index.Concurrent) — a Pool built with NewPoolWithIndex
 // arranges exactly that. A ridx.SerialIndex must stay private to one
-// engine. Intra-query refine workers never touch the index (all index
-// traffic stays on the coordinating goroutine), so RefineWorkers composes
-// with either index implementation.
+// engine.
 type Engine struct {
 	g      *graph.Graph
 	opts   Options
@@ -37,8 +32,7 @@ type Engine struct {
 	labels *hub.Labels // from Options.Labels; enables HubLabel queries
 
 	tree *sssp.Search // transpose traversal from q (SDS-tree)
-	rf   *refiner     // serial refinement workspace (see refiner.go)
-	par  *parallelState
+	rf   *refiner     // refinement workspace (see refiner.go)
 
 	epoch   uint32
 	lcount  []int32 // Lemma-4 visit counters
@@ -48,9 +42,6 @@ type Engine struct {
 	ostamp  []uint32 // nodes already offered to the result heap
 	lbseen  []uint32 // hub-label scan dedupe stamps (lazily allocated)
 	lbepoch uint32   // epoch for lbseen; bumped once per label scan
-	sseq    []int32  // SDS-tree pop sequence numbers (see markTreeSettled)
-	sstamp  []uint32
-	seq     int32 // pops so far this query
 	scratch []settleRec
 
 	heap  resultHeap
@@ -77,8 +68,10 @@ type Engine struct {
 
 	// per-query feature switches
 	bounds   Bounds
+	pruning  bool // try prune before refining a candidate (all but Static)
+	labeling bool // prune on hub-label bounds (HubLabel)
 	useLc    bool // maintain lcount during refinements
-	indexing bool // feed refinements back into the index
+	indexing bool // consult and feed the index (Indexed)
 }
 
 type settleRec struct {
@@ -115,8 +108,6 @@ func NewEngine(g *graph.Graph, opts Options) *Engine {
 		nrank:  make([]int32, n),
 		nstamp: make([]uint32, n),
 		ostamp: make([]uint32, n),
-		sseq:   make([]int32, n),
-		sstamp: make([]uint32, n),
 	}
 }
 
@@ -144,12 +135,11 @@ func (e *Engine) Query(a Algorithm, q int32, k int) (*Result, error) {
 }
 
 // QueryContext is Query with cancellation: when ctx is canceled or its
-// deadline passes, the traversal and every in-flight rank refinement
-// (including speculative worker runs) stop within a bounded number of
-// settles and the call returns ctx's error. A canceled query leaves the
-// engine (and any shared index) in a consistent state — cancellation
-// discards work, it never applies partial results — so the engine is
-// immediately reusable.
+// deadline passes, the traversal and the in-flight rank refinement stop
+// within a bounded number of settles and the call returns ctx's error. A
+// canceled query leaves the engine (and any shared index) in a consistent
+// state — cancellation discards work, it never applies partial results —
+// so the engine is immediately reusable.
 func (e *Engine) QueryContext(ctx context.Context, a Algorithm, q int32, k int) (*Result, error) {
 	if err := validateRequest(a, k); err != nil {
 		return nil, err
@@ -188,7 +178,12 @@ func (e *Engine) QueryContext(ctx context.Context, a Algorithm, q int32, k int) 
 		stage = obs.StageLabelScan
 	}
 	sp := tr.Begin(stage)
-	res := e.dispatch(a, q, k)
+	var res *Result
+	if a == Naive {
+		res = e.naive(q, k)
+	} else {
+		res = e.sdsTree(a, q, k)
+	}
 	if sp != nil {
 		sp.SetAttr("refinements", int64(e.stats.Refinements))
 		sp.SetAttr("pruned_by_bound", int64(e.stats.PrunedByBound))
@@ -205,32 +200,6 @@ func (e *Engine) QueryContext(ctx context.Context, a Algorithm, q int32, k int) 
 		return nil, fmt.Errorf("core: query canceled: %w", ctx.Err())
 	}
 	return res, nil
-}
-
-// dispatch routes a validated query to its engine implementation. HubLabel
-// always runs serially, even with RefineWorkers set: label pruning removes
-// exactly the refinements the speculative pipeline would overlap, so the
-// workers would mostly produce wasted speculation.
-func (e *Engine) dispatch(a Algorithm, q int32, k int) *Result {
-	if a == HubLabel {
-		return e.hubLabel(q, k)
-	}
-	if e.opts.refineWorkers() > 0 {
-		if a == Naive {
-			return e.naiveParallel(q, k)
-		}
-		return e.treeParallel(a, q, k)
-	}
-	switch a {
-	case Naive:
-		return e.naive(q, k)
-	case Static:
-		return e.static(q, k)
-	case Dynamic:
-		return e.dynamic(q, k)
-	default:
-		return e.indexed(q, k)
-	}
 }
 
 // stopped reports whether the current query's context has been canceled.
@@ -255,17 +224,17 @@ func (e *Engine) begin(q int32, k int, a Algorithm) {
 		clear(e.lstamp)
 		clear(e.nstamp)
 		clear(e.ostamp)
-		clear(e.sstamp)
 		e.epoch = 1
 	}
 	e.q = q
 	e.k = k
-	e.seq = 0
 	e.heap.reset(k)
 	e.stats = Stats{}
 	e.traceLog = nil
 	e.bounds = e.opts.effectiveBounds(e.g)
-	e.useLc = a != Naive && a != Static && e.bounds&BoundCount != 0
+	e.pruning = a != Naive && a != Static
+	e.labeling = a == HubLabel
+	e.useLc = e.pruning && e.bounds&BoundCount != 0
 	e.indexing = a == Indexed
 	e.rf.prepare(q, e.opts.Counted, e.opts.DisableDistanceCutoff, e.stop)
 }
@@ -276,25 +245,6 @@ func (e *Engine) candidate(v int32) bool {
 
 func (e *Engine) counted(v int32) bool {
 	return e.opts.Counted == nil || e.opts.Counted[v]
-}
-
-// markTreeSettled records the pop order of the SDS-tree traversal and
-// returns v's sequence number. The Lemma-4 bookkeeping asks "was t settled
-// when candidate p was refined?"; under speculative refinement nodes are
-// popped (and marked) before earlier candidates' side effects are applied,
-// so the engine compares pop sequence numbers instead of consulting the
-// tree's live settled set — which reproduces the serial answer exactly.
-func (e *Engine) markTreeSettled(v int32) int32 {
-	e.seq++
-	e.sseq[v] = e.seq
-	e.sstamp[v] = e.epoch
-	return e.seq
-}
-
-// treeSettledBefore reports whether v was popped from the SDS-tree at or
-// before pop sequence number seq of the current query.
-func (e *Engine) treeSettledBefore(v int32, seq int32) bool {
-	return e.sstamp[v] == e.epoch && e.sseq[v] <= seq
 }
 
 // descBound converts a certified lower bound on Rank(v, q) into one valid
@@ -388,11 +338,10 @@ func (e *Engine) finish() *Result {
 	return &Result{Query: e.q, K: e.k, Entries: e.heap.sorted(), Stats: e.stats, Trace: e.traceLog}
 }
 
-// refineAndSettle runs the shared refine/offer/expand tail of the three
-// SDS-tree engines for a dequeued candidate; seq is the candidate's pop
-// sequence number (markTreeSettled).
-func (e *Engine) refineAndSettle(v int32, d float64, seq int32) {
-	bound, exact := e.refine(v, d, seq)
+// refineAndSettle runs the refine/offer/expand tail of the SDS-tree
+// traversal for a dequeued candidate.
+func (e *Engine) refineAndSettle(v int32, d float64) {
+	bound, exact := e.refine(v, d)
 	e.settleRefined(v, d, bound, exact)
 }
 
@@ -425,13 +374,12 @@ func (e *Engine) settleRefined(v int32, d float64, bound int32, exact bool) {
 	}
 }
 
-// refine computes Rank(p, q) by a serial partial Dijkstra from p and
-// applies its side effects (see refiner.run for the search itself and
-// applyRefineLog for the effects). dpq is d(p, q) when known, +Inf
-// otherwise; seq is p's pop sequence number (0 outside a tree traversal).
-// Returns the exact rank with exact=true, or a certified lower bound with
-// exact=false (kRank abort), or rank.Unreachable when p cannot reach q.
-func (e *Engine) refine(p int32, dpq float64, seq int32) (bound int32, exact bool) {
+// refine computes Rank(p, q) by a partial Dijkstra from p and applies its
+// side effects (see refiner.run for the search itself and applyRefineLog
+// for the effects). dpq is d(p, q) when known, +Inf otherwise. Returns the
+// exact rank with exact=true, or a certified lower bound with exact=false
+// (kRank abort), or rank.Unreachable when p cannot reach q.
+func (e *Engine) refine(p int32, dpq float64) (bound int32, exact bool) {
 	e.stats.Refinements++
 	kRank := e.heap.kRank()
 	if a := e.arena; a != nil {
@@ -440,8 +388,8 @@ func (e *Engine) refine(p int32, dpq float64, seq int32) (bound int32, exact boo
 		// yields the decision triple and log prefix a fresh serial run
 		// would have produced byte-for-byte (see batchexec.go), so the
 		// applied side effects are identical; only RefineSettled differs
-		// (a replay settles nothing — like the speculative pipeline, the
-		// effort counters describe work actually performed).
+		// (a replay settles nothing: the effort counters describe work
+		// actually performed).
 		cut := refineCutoff(dpq, e.opts.DisableDistanceCutoff)
 		if out, log, ok := a.replay(p, e.q, dpq, cut, kRank); ok {
 			a.shared++
@@ -449,7 +397,7 @@ func (e *Engine) refine(p int32, dpq float64, seq int32) (bound int32, exact boo
 			if out.aborted {
 				e.stats.RefineAborted++
 			}
-			e.applyRefineLog(p, log, out.bound, out.exact, out.stopLevel, seq)
+			e.applyRefineLog(p, log, out.bound, out.exact, out.stopLevel)
 			return out.bound, out.exact
 		}
 	}
@@ -471,11 +419,11 @@ func (e *Engine) refine(p int32, dpq float64, seq int32) (bound int32, exact boo
 		if res.aborted {
 			e.stats.RefineAborted++
 		}
-		e.applyRefineLog(p, log, res.bound, res.exact, res.stopLevel, seq)
+		e.applyRefineLog(p, log, res.bound, res.exact, res.stopLevel)
 		return res.bound, res.exact
 	}
 	var out refineResult
-	out, e.scratch = e.rf.run(p, dpq, kRank, nil, nil, e.scratch[:0])
+	out, e.scratch = e.rf.run(p, dpq, kRank, e.scratch[:0])
 	e.stats.RefineSettled += out.settled
 	if out.stopped {
 		// The query's context was canceled mid-refinement: the truncated
@@ -493,7 +441,7 @@ func (e *Engine) refine(p int32, dpq float64, seq int32) (bound int32, exact boo
 		exhausted := !out.exact && !out.aborted
 		a.store(p, refineCutoff(dpq, e.opts.DisableDistanceCutoff), exhausted, e.scratch)
 	}
-	e.applyRefineLog(p, e.scratch, out.bound, out.exact, out.stopLevel, seq)
+	e.applyRefineLog(p, e.scratch, out.bound, out.exact, out.stopLevel)
 	return out.bound, out.exact
 }
 
@@ -505,13 +453,10 @@ func (e *Engine) refine(p int32, dpq float64, seq int32) (bound int32, exact boo
 //   - indexing: every settled counted node's exact rank from p feeds the
 //     Reverse Rank Dictionary, and p's Check Dictionary bound is raised.
 //
-// seq is p's pop sequence number: nodes popped from the SDS-tree at or
-// before it never read their counter again — and for them the lemma's
-// d(p,q) <= d(t,q) precondition no longer holds — so they are skipped
-// (Lemma 3/4). In parallel mode the log and (bound, exact, stopLevel) come
-// from replayRefinement, so the effects applied here are byte-identical to
-// a serial run's.
-func (e *Engine) applyRefineLog(p int32, log []settleRec, bound int32, exact bool, stopLevel float64, seq int32) {
+// Nodes already popped from the SDS-tree never read their counter again —
+// and for them the lemma's d(p,q) <= d(t,q) precondition no longer holds —
+// so they are skipped (Lemma 3/4).
+func (e *Engine) applyRefineLog(p int32, log []settleRec, bound int32, exact bool, stopLevel float64) {
 	if !e.useLc && !e.indexing {
 		return
 	}
@@ -519,7 +464,7 @@ func (e *Engine) applyRefineLog(p int32, log []settleRec, bound int32, exact boo
 		if rec.node == e.q {
 			continue
 		}
-		if e.useLc && rec.dist < stopLevel && !e.treeSettledBefore(rec.node, seq) {
+		if e.useLc && rec.dist < stopLevel && !e.tree.Settled(rec.node) {
 			e.bumpLcount(rec.node)
 		}
 		if e.indexing {

@@ -1,60 +1,20 @@
 package core
 
-// hubLabel is the Dynamic Bounded SDS-tree augmented with rank lower
-// bounds read off a precomputed pruned 2-hop hub labeling (Options.Labels;
-// the ReHub direction of PAPERS.md): before paying for a candidate's rank
-// refinement, the engine counts counted nodes the labeling proves strictly
-// closer to the candidate than the query node. When that count alone
-// reaches kRank the candidate is disqualified — and, because the count is
-// a certified lower bound, its SDS-subtree is cut by exactly the same
-// tie-inclusive rule as every other Theorem-2 prune — without settling a
-// single Dijkstra node. Only candidates the labeling cannot disqualify
-// fall back to the CSR rank refinement, so every rank that reaches the
-// result heap comes from the same refinement code path as Dynamic's and
-// the canonical minimum-k-by-(rank, node) contract — shard-merge
-// byte-identity, rank-floor certification, response-cache reuse — carries
-// over unchanged.
-func (e *Engine) hubLabel(q int32, k int) *Result {
-	e.begin(q, k, HubLabel)
-	e.tree.ResetReverse(q)
-	for {
-		v, d, ok := e.tree.Pop()
-		if !ok || e.stopped() {
-			break
-		}
-		seq := e.markTreeSettled(v)
-		e.stats.TreeSettled++
-		if v == q {
-			e.tree.Expand(v, d)
-			continue
-		}
-		if !e.candidate(v) {
-			e.passThrough(v, d)
-			continue
-		}
-		lb := e.lowerBound(v, 0)
-		kRank := e.heap.kRank()
-		if lb > kRank {
-			e.skipCandidate(v, d, lb) // the plain Theorem-2 prune (as Dynamic)
-			continue
-		}
-		if kRank != kRankInf {
-			// The cheap Theorem-2 components did not disqualify v; scan the
-			// labeling before conceding a refinement. Skipped while the
-			// heap is short of k entries (kRank == kRankInf): nothing can
-			// be pruned yet, and an unbounded count would walk entire
-			// inverted lists.
-			if lbl := e.labelBound(v, d, kRank); lbl > kRank {
-				e.stats.LabelPruned++
-				e.skipCandidate(v, d, lbl)
-				continue
-			}
-		}
-		e.stats.LabelFallbacks++
-		e.refineAndSettle(v, d, seq)
-	}
-	return e.finish()
-}
+// The HubLabel engine is the Dynamic Bounded SDS-tree augmented with rank
+// lower bounds read off a precomputed pruned 2-hop hub labeling
+// (Options.Labels; the ReHub direction of PAPERS.md): before paying for a
+// candidate's rank refinement, the engine counts counted nodes the
+// labeling proves strictly closer to the candidate than the query node.
+// When that count alone reaches kRank the candidate is disqualified — and,
+// because the count is a certified lower bound, its SDS-subtree is cut by
+// exactly the same tie-inclusive rule as every other Theorem-2 prune —
+// without settling a single Dijkstra node. Only candidates the labeling
+// cannot disqualify fall back to the CSR rank refinement, so every rank
+// that reaches the result heap comes from the same refinement code path as
+// Dynamic's and the canonical minimum-k-by-(rank, node) contract —
+// shard-merge byte-identity, rank-floor certification, response-cache
+// reuse — carries over unchanged. The traversal is sdsTree; the label test
+// is the last step of prune.
 
 // labelBound returns a certified lower bound on Rank(p, q) from the hub
 // labeling: 1 + the number of distinct counted nodes t != p with a

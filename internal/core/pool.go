@@ -38,11 +38,9 @@ type Pool struct {
 	peak     atomic.Int64
 }
 
-// NewPool returns a pool of size engines over g. size <= 0 picks a default
-// that budgets runtime.GOMAXPROCS(0) across engines and their intra-query
-// refine workers: GOMAXPROCS / (1 + Options.RefineWorkers), at least 1.
-// The pool serves the index-free algorithms; use NewPoolWithIndex to serve
-// Indexed queries too.
+// NewPool returns a pool of size engines over g (size <= 0 uses
+// runtime.GOMAXPROCS(0)). The pool serves the index-free algorithms; use
+// NewPoolWithIndex to serve Indexed queries too.
 func NewPool(g *graph.Graph, opts Options, size int) *Pool {
 	return newPool(g, opts, size, nil)
 }
@@ -71,14 +69,7 @@ func NewPoolWithIndex(g *graph.Graph, opts Options, size int, ix ridx.Index) (*P
 
 func newPool(g *graph.Graph, opts Options, size int, ix ridx.Index) *Pool {
 	if size <= 0 {
-		// Budget the machine across engines AND their intra-query refine
-		// workers: an engine with RefineWorkers = w occupies up to 1+w
-		// cores while serving a query, so a default-sized pool shrinks
-		// accordingly instead of oversubscribing.
-		size = runtime.GOMAXPROCS(0) / (1 + opts.refineWorkers())
-		if size < 1 {
-			size = 1
-		}
+		size = runtime.GOMAXPROCS(0)
 	}
 	p := &Pool{engines: make(chan *Engine, size), g: g, idx: ix, labels: opts.Labels}
 	for i := 0; i < size; i++ {

@@ -11,15 +11,13 @@ import (
 
 // refiner owns the workspace for rank refinements (Algorithms 2 and 4): a
 // forward Dijkstra search plus the per-query parameters the inner loop
-// needs. The engine's serial path uses one refiner; the speculative
-// parallel path (parallel.go) gives each worker goroutine its own, so one
-// engine can run Options.RefineWorkers refinements concurrently.
+// needs.
 //
 // A refiner performs NO side effects: it only settles nodes and records
 // counted settles in a log. All engine-state mutations (result-heap
 // offers, Lemma-4 counters, index feedback) are derived from the log
-// afterwards — by Engine.applyRefineLog on the coordinating goroutine —
-// which is what makes speculative execution safe.
+// afterwards by Engine.applyRefineLog, which is what lets a batch replay a
+// stored log in place of a fresh search (batchexec.go).
 type refiner struct {
 	ref *sssp.Search
 
@@ -28,8 +26,7 @@ type refiner struct {
 	counted []bool
 	noCut   bool
 	// stop is the engine-level cancellation flag (QueryContext), nil when
-	// the query cannot be canceled. Distinct from the per-job cancel flag:
-	// stop abandons the whole query, cancel discards one speculative run.
+	// the query cannot be canceled.
 	stop *atomic.Bool
 }
 
@@ -40,9 +37,7 @@ func newRefiner(g *graph.Graph) *refiner {
 	return &refiner{ref: sssp.NewLite(g)}
 }
 
-// prepare binds the refiner to one query's parameters. In parallel mode
-// this happens before the worker goroutines start, so the fields are
-// plain (non-atomic) reads afterwards.
+// prepare binds the refiner to one query's parameters.
 func (r *refiner) prepare(q int32, counted []bool, noCut bool, stop *atomic.Bool) {
 	r.q = q
 	r.counted = counted
@@ -61,8 +56,8 @@ func refineCutoff(dpq float64, noCut bool) float64 {
 	return sssp.Cutoff(dpq)
 }
 
-// refineResult describes one rank-refinement run. A run stopped by its
-// cancel flag returns a truncated result that callers discard unread.
+// refineResult describes one rank-refinement run. A run stopped by query
+// cancellation returns a truncated result that callers discard unread.
 type refineResult struct {
 	bound     int32   // exact rank (exact) or certified lower bound
 	exact     bool    // q was settled; bound is Rank(p, q)
@@ -79,18 +74,12 @@ type refineResult struct {
 //
 // kRank is the abort threshold: the search stops as soon as the
 // strictly-closer count reaches it, because then Rank(p, q) > kRank and p
-// cannot enter the result (Definition 2). When live is non-nil (a
-// speculative worker run) the threshold is refreshed from it at every
-// counted settle; the live bound is monotone nonincreasing and every value
-// the worker observes is >= the serial threshold at apply time, so the
-// returned log always extends at least to the serial stopping point — the
-// invariant replayRefinement depends on. cancel (non-nil iff live is)
-// stops a run whose result is no longer needed.
+// cannot enter the result (Definition 2).
 //
 // The (node, dist, rank) log of counted settles is appended to log's
 // backing array and returned; the caller owns it until the next run with
 // the same slice.
-func (r *refiner) run(p int32, dpq float64, kRank int32, live *atomic.Int32, cancel *atomic.Bool, log []settleRec) (refineResult, []settleRec) {
+func (r *refiner) run(p int32, dpq float64, kRank int32, log []settleRec) (refineResult, []settleRec) {
 	dpq = refineCutoff(dpq, r.noCut)
 	r.ref.Reset(p)
 	out := refineResult{stopLevel: math.Inf(1)}
@@ -110,7 +99,7 @@ func (r *refiner) run(p int32, dpq float64, kRank int32, live *atomic.Int32, can
 		if r.stop != nil && out.settled&63 == 0 && r.stop.Load() {
 			// Engine-level cancellation (QueryContext): the query is being
 			// abandoned, so stop the search where it stands. The truncated
-			// log is marked and never replayed or applied.
+			// log is marked and never stored or applied.
 			out.stopped = true
 			return out, log
 		}
@@ -118,13 +107,6 @@ func (r *refiner) run(p int32, dpq float64, kRank int32, live *atomic.Int32, can
 			continue
 		}
 		if r.counted != nil && !r.counted[v] {
-			// Long uncounted stretches (sparse bichromatic classes) never
-			// reach the per-counted-settle cancel check below, so poll the
-			// flag on a coarse settle cadence too — the coordinator
-			// discards without blocking and relies on this bound.
-			if cancel != nil && out.settled&63 == 0 && cancel.Load() {
-				return out, log
-			}
 			continue
 		}
 		if d > level {
@@ -138,12 +120,6 @@ func (r *refiner) run(p int32, dpq float64, kRank int32, live *atomic.Int32, can
 		}
 		settledCounted++
 		log = append(log, settleRec{v, d, rr})
-		if live != nil {
-			kRank = live.Load()
-			if cancel.Load() {
-				return out, log
-			}
-		}
 		if int32(strictBelow) >= kRank {
 			// Rank(p, q) >= strictBelow+1 > kRank: p cannot qualify.
 			out.bound, out.exact, out.stopLevel = rr, false, d
@@ -193,34 +169,4 @@ func (r *refiner) runExhaustive(p int32, log []settleRec) (refineResult, []settl
 		settledCounted++
 		log = append(log, settleRec{v, d, int32(strictBelow + 1)})
 	}
-}
-
-// replayRefinement re-derives, from a speculative run's settle log, exactly
-// what a serial refinement with threshold kRank would have returned: the
-// (bound, exact) pair, the stop level, and the length n of the log prefix
-// the serial run would have recorded.
-//
-// This is sound because the Dijkstra settle order — and with it every
-// logged (node, dist, rank) triple — is independent of the threshold; the
-// threshold only decides where the search STOPS. The worker ran with
-// thresholds that were all >= kRank (the prune bound is monotone
-// nonincreasing over a query, and the worker ran before this apply point),
-// so the log is a superset of the serial one: scanning it in order and
-// applying the serial stop rules recovers the serial outcome bit-for-bit.
-func replayRefinement(q int32, log []settleRec, kRank int32) (bound int32, exact bool, stopLevel float64, n int) {
-	for i, rec := range log {
-		if rec.node == q {
-			return rec.rank, true, rec.dist, i + 1
-		}
-		// rec.rank-1 is the strictly-closer count when rec settled; the
-		// serial run checks it against the threshold after logging.
-		if rec.rank-1 >= kRank {
-			return rec.rank, false, rec.dist, i + 1
-		}
-	}
-	// The worker exhausted p's component without finding q; the serial run
-	// (threshold <= every threshold the worker saw) would have done the
-	// same, or aborted inside the log — which the loop above would have
-	// caught.
-	return rank.Unreachable, false, math.Inf(1), len(log)
 }

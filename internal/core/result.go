@@ -13,12 +13,6 @@ import (
 // Refinement" column reported throughout Section 6, and the bound-win
 // counters feed the Table 11 analysis.
 //
-// Under intra-query parallelism (Options.RefineWorkers > 0) every decision
-// counter is still byte-identical to a serial run — speculation never
-// changes what the engine decides, only when the work runs — but
-// RefineSettled can exceed the serial count (a worker running against a
-// stale prune bound settles further before aborting), and the
-// Speculative* counters become nonzero. Results never differ.
 // The json tags define the wire schema internal/server exposes in query
 // responses and /statsz aggregates; like the stats.Table tags they are a
 // frozen format — add fields if needed, never rename these keys.
@@ -46,25 +40,12 @@ type Stats struct {
 	HeightWins int64 `json:"height_wins"`
 	CountWins  int64 `json:"count_wins"`
 	ParentWins int64 `json:"parent_wins"`
-	// SpeculativeRefinements counts refinements launched onto worker
-	// goroutines by the intra-query parallel pipeline
-	// (Options.RefineWorkers > 0); always 0 for serial queries.
-	SpeculativeRefinements int `json:"speculative_refinements"`
-	// SpeculativeWasted counts the subset of speculative refinements whose
-	// results were discarded because, by the time serial order reached the
-	// candidate, the Theorem-2 bound pruned it or an index hit answered it.
-	SpeculativeWasted int `json:"speculative_wasted"`
-	// SpeculativeStolen counts launched refinements no worker had started
-	// by the time serial order needed (or discarded) them; the coordinator
-	// reclaimed them, so any needed ranks were computed inline. High values
-	// mean the workers are starved — fewer RefineWorkers would do.
-	SpeculativeStolen int `json:"speculative_stolen"`
 	// SharedTraversals counts refinements resolved by replaying a settle
 	// log stored by an earlier query of the same batch instead of running
 	// a fresh search (batch execution only — see batchexec.go; always 0
-	// for standalone queries). Like the speculative counters, replays
-	// change effort accounting, never decisions: a replayed refinement
-	// contributes 0 to RefineSettled because no nodes were settled for it.
+	// for standalone queries). Replays change effort accounting, never
+	// decisions: a replayed refinement contributes 0 to RefineSettled
+	// because no nodes were settled for it.
 	SharedTraversals int `json:"batch_shared_traversals"`
 	// LabelPruned counts HubLabel candidates pruned because the hub-label
 	// scan alone certified Rank > kRank — no Dijkstra work at all (always 0
@@ -91,9 +72,6 @@ func (s *Stats) Add(other Stats) {
 	s.HeightWins += other.HeightWins
 	s.CountWins += other.CountWins
 	s.ParentWins += other.ParentWins
-	s.SpeculativeRefinements += other.SpeculativeRefinements
-	s.SpeculativeWasted += other.SpeculativeWasted
-	s.SpeculativeStolen += other.SpeculativeStolen
 	s.SharedTraversals += other.SharedTraversals
 	s.LabelPruned += other.LabelPruned
 	s.LabelFallbacks += other.LabelFallbacks

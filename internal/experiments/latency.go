@@ -13,20 +13,15 @@ import (
 
 // Latency goes beyond the paper's evaluation in the direction orthogonal
 // to Serving: where Serving measures the aggregate throughput of many
-// concurrent queries, Latency measures how fast ONE query finishes when
-// its rank refinements run on Options.RefineWorkers speculative workers
-// (see core/parallel.go). Queries are issued strictly one at a time and
-// timed individually; the workload runs as one shared-traversal batch per
-// sweep point (the steady serving configuration — see Pool.QueryManyContext),
-// and each point reports p50/p99/mean, the mean speedup over the serial
-// engine, and the steady-state allocation cost per query measured by
-// runtime.ReadMemStats deltas over the timed loop. Results are
-// byte-identical across the sweep — only the wall clock and the
-// allocation columns move.
+// concurrent queries, Latency measures how fast ONE query finishes on one
+// engine. Queries are issued strictly one at a time and timed
+// individually; the workload runs as one shared-traversal batch (the
+// steady serving configuration — see Pool.QueryManyContext), and each
+// dataset reports p50/p99/mean and the steady-state allocation cost per
+// query measured by runtime.ReadMemStats deltas over the timed loop.
 func (r *Runner) Latency() (*stats.Table, error) {
-	t := stats.NewTable("Latency: intra-query parallel refinement (Dynamic, one query at a time)",
-		"dataset", "refine workers", "p50 (s)", "p99 (s)", "mean (s)", "speedup vs serial",
-		"allocs/query", "bytes/query")
+	t := stats.NewTable("Latency: Dynamic, one query at a time",
+		"dataset", "p50 (s)", "p99 (s)", "mean (s)", "allocs/query", "bytes/query")
 	k := defaultK(r.cfg.Ks)
 	road, _ := r.Road()
 	sets := []struct {
@@ -38,54 +33,40 @@ func (r *Runner) Latency() (*stats.Table, error) {
 	}
 	for _, s := range sets {
 		queries := workload.Random(s.g, r.cfg.Queries, r.cfg.Seed+29)
-		var base float64
-		for _, w := range refineSweep(r.cfg.RefineWorkers) {
-			e := core.NewEngine(s.g, core.Options{RefineWorkers: w})
-			// Untimed warm-up batch so every workspace (heap storage,
-			// stamped arrays, arena slabs) reaches its high-water mark
-			// before the allocation deltas are read.
-			e.BeginBatch()
-			for _, q := range queries {
-				if _, err := e.Query(core.Dynamic, q, k); err != nil {
-					return nil, err
-				}
+		e := core.NewEngine(s.g, core.Options{})
+		// Untimed warm-up batch so every workspace (heap storage, stamped
+		// arrays, arena slabs) reaches its high-water mark before the
+		// allocation deltas are read.
+		e.BeginBatch()
+		for _, q := range queries {
+			if _, err := e.Query(core.Dynamic, q, k); err != nil {
+				return nil, err
 			}
-			e.EndBatch()
-			durs := make([]float64, 0, len(queries))
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			e.BeginBatch()
-			for _, q := range queries {
-				start := time.Now()
-				if _, err := e.Query(core.Dynamic, q, k); err != nil {
-					return nil, err
-				}
-				durs = append(durs, time.Since(start).Seconds())
-			}
-			e.EndBatch()
-			runtime.ReadMemStats(&after)
-			nq := float64(len(durs))
-			mean := stats.Mean(durs)
-			if w == 0 {
-				base = mean
-			}
-			t.Add(s.name, w,
-				fmt.Sprintf("%.6f", stats.Percentile(durs, 50)),
-				fmt.Sprintf("%.6f", stats.Percentile(durs, 99)),
-				fmt.Sprintf("%.6f", mean),
-				fmt.Sprintf("%.2fx", base/mean),
-				fmt.Sprintf("%.2f", float64(after.Mallocs-before.Mallocs)/nq),
-				fmt.Sprintf("%.1f", float64(after.TotalAlloc-before.TotalAlloc)/nq))
 		}
+		e.EndBatch()
+		durs := make([]float64, 0, len(queries))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e.BeginBatch()
+		for _, q := range queries {
+			start := time.Now()
+			if _, err := e.Query(core.Dynamic, q, k); err != nil {
+				return nil, err
+			}
+			durs = append(durs, time.Since(start).Seconds())
+		}
+		e.EndBatch()
+		runtime.ReadMemStats(&after)
+		nq := float64(len(durs))
+		t.Add(s.name,
+			fmt.Sprintf("%.6f", stats.Percentile(durs, 50)),
+			fmt.Sprintf("%.6f", stats.Percentile(durs, 99)),
+			fmt.Sprintf("%.6f", stats.Mean(durs)),
+			fmt.Sprintf("%.2f", float64(after.Mallocs-before.Mallocs)/nq),
+			fmt.Sprintf("%.1f", float64(after.TotalAlloc-before.TotalAlloc)/nq))
 	}
-	t.Note("%d queries per point, k=%d; workers=0 is the serial engine; each point runs as one shared-traversal batch; results are byte-identical at every point", r.cfg.Queries, k)
+	t.Note("%d queries per dataset, k=%d; each dataset runs as one shared-traversal batch", r.cfg.Queries, k)
 	return t, nil
-}
-
-// refineSweep returns the RefineWorkers axis: the serial engine (0), then
-// the same powers-of-two sweep the serving experiment uses.
-func refineSweep(max int) []int {
-	return append([]int{0}, workerSweep(max)...)
 }
 
 // SteadyStateAllocs measures the per-query allocation cost of the warm
@@ -95,7 +76,7 @@ func refineSweep(max int) []int {
 // runtime.ReadMemStats window. This is the `allocs_per_query` /
 // `bytes_per_query` pair rkbench stamps into its JSON reports — the
 // invocation-level summary of the arena + stamped-array zero-alloc claim,
-// complementing the per-sweep-point columns in the latency table.
+// complementing the per-dataset columns in the latency table.
 func (r *Runner) SteadyStateAllocs() (allocsPerQuery, bytesPerQuery float64, err error) {
 	g := r.DBLP()
 	e := core.NewEngine(g, core.Options{})

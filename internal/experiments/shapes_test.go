@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// These tests assert the paper's qualitative claims — the shapes EXPERIMENTS.md
-// records — hold at the Small scale, so a regression that flips an ordering
-// (e.g. dynamic refining more than static) fails CI rather than silently
-// producing a wrong table.
+// These tests assert the paper's qualitative claims — the shapes of its
+// Section-6 tables and figures — hold at the Small scale, so a regression
+// that flips an ordering (e.g. dynamic refining more than static) fails CI
+// rather than silently producing a wrong table.
 
 func smallRunner(t *testing.T) *Runner {
 	t.Helper()
@@ -216,15 +216,12 @@ func TestExperimentsDeterminism(t *testing.T) {
 	}
 }
 
-// TestLatencyShape: the latency sweep covers both datasets, starts at the
-// serial engine (workers=0, speedup 1.00x), and every cell parses. No
-// ordering is asserted between sweep points — wall-clock speedup depends
-// on the core count of the host — only that the experiment produces a
-// well-formed sweep.
+// TestLatencyShape: the latency table has one serial row per dataset and
+// every cell parses. No ordering is asserted between datasets — only that
+// the experiment produces a well-formed table.
 func TestLatencyShape(t *testing.T) {
 	cfg := Small()
 	cfg.Queries = 4
-	cfg.RefineWorkers = 2
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -233,23 +230,18 @@ func TestLatencyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]int{}
+	if len(tab.Rows) != 2 || tab.Rows[0][0] != "dblp" || tab.Rows[1][0] != "road" {
+		t.Fatalf("want one row each for dblp and road, got %v", tab.Rows)
+	}
 	for _, row := range tab.Rows {
-		seen[row[0]]++
-		if row[1] == "0" && !strings.HasPrefix(row[5], "1.00x") {
-			t.Errorf("serial row has speedup %q, want 1.00x", row[5])
+		if len(row) != len(tab.Headers) {
+			t.Fatalf("row %v does not match headers %v", row, tab.Headers)
 		}
-		for _, cell := range row[2:5] {
+		for _, cell := range row[1:] {
 			if cellFloat(t, cell) < 0 {
-				t.Errorf("negative latency cell %q in row %v", cell, row)
+				t.Errorf("negative cell %q in row %v", cell, row)
 			}
 		}
-		if !strings.HasSuffix(row[5], "x") {
-			t.Errorf("speedup cell %q not in Nx form", row[5])
-		}
-	}
-	if seen["dblp"] < 3 || seen["road"] < 3 {
-		t.Errorf("expected >= 3 sweep points per dataset, got %v", seen)
 	}
 }
 

@@ -56,19 +56,9 @@
 //	pool, _ := rkranks.NewPoolWithIndex(g, rkranks.Options{}, 0, ix)
 //	res, _ := pool.Query(rkranks.Indexed, q, 10) // safe from any goroutine
 //
-// Pools parallelize ACROSS queries; Options.RefineWorkers parallelizes
-// WITHIN one: the rank refinements — the dominant query cost — run
-// speculatively on that many worker goroutines while the traversal stays
-// on the calling goroutine, cutting single-query latency on idle cores:
-//
-//	e := rkranks.NewEngine(g, rkranks.Options{RefineWorkers: 4})
-//	res, _ := e.Query(rkranks.Dynamic, q, 10)
-//
-// Results are byte-identical to a serial run for every engine; only the
-// work counters (Stats.RefineSettled, Stats.Speculative*) can tell the
-// difference. Default-sized pools budget GOMAXPROCS across engines and
-// their refine workers; see the README's "Intra-query parallelism" for
-// when to prefer which knob.
+// A query runs on one goroutine; pools parallelize across queries, one
+// engine per core by default, and Pool.QueryManyContext batches reuse
+// refinement work between the queries of a batch.
 //
 // Every query entry point has a context-aware variant
 // (Engine.QueryContext, Pool.QueryContext, Pool.QueryManyContext):

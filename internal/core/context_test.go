@@ -49,33 +49,36 @@ func TestQueryContextDeadline(t *testing.T) {
 
 // TestEngineReusableAfterCancel: abandoning a query mid-flight leaves the
 // engine consistent — the next (uncanceled) query returns byte-identical
-// results to a fresh engine.
+// results to a fresh engine. The subtest id workers=0 names the serial
+// engine (no refinement workers) and is kept stable across versions.
 func TestEngineReusableAfterCancel(t *testing.T) {
 	g := gen.DBLPLike(*ctxTestGraph())
-	e := NewEngine(g, Options{})
-	for q := int32(0); q < 8; q++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Microsecond)
-		_, err := e.QueryContext(ctx, Dynamic, q, 10)
-		cancel()
-		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("q=%d: unexpected error %v", q, err)
+	t.Run("workers=0", func(t *testing.T) {
+		e := NewEngine(g, Options{})
+		for q := int32(0); q < 8; q++ {
+			ctx, cancel := context.WithTimeout(context.Background(), 500*time.Microsecond)
+			_, err := e.QueryContext(ctx, Dynamic, q, 10)
+			cancel()
+			if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("q=%d: unexpected error %v", q, err)
+			}
+			// err == nil: the query beat the deadline — equally fine.
 		}
-		// err == nil: the query beat the deadline — equally fine.
-	}
-	fresh := NewEngine(g, Options{})
-	for q := int32(0); q < 8; q++ {
-		got, err := e.Query(Dynamic, q, 10)
-		if err != nil {
-			t.Fatal(err)
+		fresh := NewEngine(g, Options{})
+		for q := int32(0); q < 8; q++ {
+			got, err := e.Query(Dynamic, q, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Query(Dynamic, q, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got.Entries) != fmt.Sprint(want.Entries) {
+				t.Fatalf("q=%d: entries diverged after cancellation: %v != %v", q, got.Entries, want.Entries)
+			}
 		}
-		want, err := fresh.Query(Dynamic, q, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprint(got.Entries) != fmt.Sprint(want.Entries) {
-			t.Fatalf("q=%d: entries diverged after cancellation: %v != %v", q, got.Entries, want.Entries)
-		}
-	}
+	})
 }
 
 // TestIndexNotPoisonedByCancel: canceled Indexed queries must not feed

@@ -41,10 +41,9 @@ type Snapshot struct {
 	BatchSharedTraversals int64   `json:"batch_shared_traversals"`
 	TraversalReuseRatio   float64 `json:"traversal_reuse_ratio"`
 
-	// CSRBytes is the memory footprint of the packed CSR graph views the
+	// CSRBytes is the memory footprint of the CSR graph views the
 	// backend's engines traverse (probed through decorator Unwrap chains;
-	// the server's own graph answers when the backend doesn't). 0 until a
-	// query has forced the views to build.
+	// the server's own graph answers when the backend doesn't).
 	CSRBytes int64 `json:"csr_bytes"`
 
 	// HubLabelBytes is the memory footprint of the hub labeling the

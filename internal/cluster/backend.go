@@ -303,11 +303,10 @@ func NewLiveShard(g *graph.Graph, cfg live.Config, part Partitioner, shards, sha
 	cfg.CandidateFunc = func(g2 *graph.Graph) ([]bool, error) {
 		return ShardMask(g2, part, shards, shard, growMask(restrict, g2.N()))
 	}
-	// Every shard needs a PRIVATE graph: weight patches rewrite the CSR
-	// arrays in place under the owning store's epoch barrier, which
-	// cannot hold out another shard's readers. The copy is byte-identical
-	// to g (CSR construction is canonical), so answers are unaffected.
-	store, err := live.NewStore(graph.NewEdgeStore(g).Build(), cfg)
+	// Every shard needs a PRIVATE graph: weight patches rewrite the arc
+	// slabs in place under the owning store's epoch barrier, which cannot
+	// hold out another shard's readers.
+	store, err := live.NewStore(g.Clone(), cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -85,10 +85,9 @@ func newPool(g *graph.Graph, opts Options, size int, ix ridx.Index) *Pool {
 // Size returns the number of engines in the pool.
 func (p *Pool) Size() int { return cap(p.engines) }
 
-// CSRBytes reports the memory footprint of the packed CSR views every
-// engine in the pool traverses (they share one copy per graph — see
-// graph.Packed). 0 until a query has forced the views to build. The
-// serving layer probes this capability for /statsz.
+// CSRBytes reports the memory footprint of the CSR views every engine in
+// the pool traverses (they share the graph's one copy). The serving layer
+// probes this capability for /statsz.
 func (p *Pool) CSRBytes() int64 { return p.g.CSRBytes() }
 
 // Index returns the shared index, or nil for an index-free pool.

@@ -96,10 +96,10 @@ func (r *Runner) Mutation() (*stats.Table, error) {
 	}
 
 	for _, pl := range plans {
-		// Each path gets a private store over a byte-identical copy:
-		// weight patches rewrite the CSR in place and must not touch the
-		// runner's cached graph or a sibling row's store.
-		s, err := live.NewStore(graph.NewEdgeStore(base).Build(), live.Config{PoolSize: 1})
+		// Each path gets a private store over a copy: weight patches
+		// rewrite the arc slabs in place and must not touch the runner's
+		// cached graph or a sibling row's store.
+		s, err := live.NewStore(base.Clone(), live.Config{PoolSize: 1})
 		if err != nil {
 			return nil, err
 		}

@@ -11,7 +11,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+)
+
+var (
+	// ErrTooLarge reports a graph whose arc count does not fit the int32
+	// CSR offsets (an undirected edge stores two arcs).
+	ErrTooLarge = errors.New("graph: arc count overflows int32 offsets")
+	// ErrFormat reports input ReadText or ReadBinary cannot decode: bad
+	// syntax, a corrupt or truncated binary file, or an invalid value.
+	ErrFormat = errors.New("graph: malformed input")
 )
 
 // NodeID identifies a node. IDs are dense: a graph with N nodes uses ids
@@ -27,37 +36,28 @@ type Edge struct {
 	Weight float64
 }
 
-// Graph is an immutable weighted graph in CSR form. Use a Builder to
-// construct one. The zero value is an empty undirected graph.
+// Graph is an immutable weighted graph in CSR form. Use a Builder, or
+// ReadText/ReadBinary, to construct one.
 //
-// For undirected graphs every edge appears in both adjacency lists, and the
-// transpose accessors alias the forward arrays. For directed graphs the
-// transpose CSR is materialized at Finalize time, so reverse traversals
-// (needed by the SDS-tree, which explores distances *to* the query node)
-// are as cheap as forward ones.
+// Each orientation is stored exactly once, as a CSR built at construction
+// and freed with the graph. For undirected graphs every edge appears in
+// both adjacency lists and the reverse CSR is the forward one. For
+// directed graphs the transpose CSR is materialized at construction, so
+// reverse traversals (needed by the SDS-tree, which explores distances
+// *to* the query node) are as cheap as forward ones.
 type Graph struct {
 	directed bool
 	numEdges int64 // logical edge count (each undirected edge counted once)
 
-	offsets []int64
-	targets []int32
-	weights []float64
-
-	toffsets []int64
-	ttargets []int32
-	tweights []float64
+	fwd *CSR
+	rev *CSR // == fwd for undirected graphs
 
 	labels   []string
 	labelIdx map[string]NodeID
 }
 
 // N returns the number of nodes.
-func (g *Graph) N() int {
-	if g.offsets == nil {
-		return 0
-	}
-	return len(g.offsets) - 1
-}
+func (g *Graph) N() int { return g.fwd.N() }
 
 // M returns the number of logical edges (an undirected edge counts once).
 func (g *Graph) M() int64 { return g.numEdges }
@@ -66,29 +66,44 @@ func (g *Graph) M() int64 { return g.numEdges }
 func (g *Graph) Directed() bool { return g.directed }
 
 // OutDegree returns the out-degree of u (degree, for undirected graphs).
-func (g *Graph) OutDegree(u NodeID) int {
-	return int(g.offsets[u+1] - g.offsets[u])
-}
+func (g *Graph) OutDegree(u NodeID) int { return g.fwd.Degree(u) }
 
 // InDegree returns the in-degree of u (degree, for undirected graphs).
-func (g *Graph) InDegree(u NodeID) int {
-	return int(g.toffsets[u+1] - g.toffsets[u])
-}
+func (g *Graph) InDegree(u NodeID) int { return g.rev.Degree(u) }
 
-// Neighbors returns the forward adjacency of u as parallel slices of
-// targets and weights. The returned slices alias internal storage and must
-// not be modified.
-func (g *Graph) Neighbors(u NodeID) ([]int32, []float64) {
-	lo, hi := g.offsets[u], g.offsets[u+1]
-	return g.targets[lo:hi], g.weights[lo:hi]
-}
+// Neighbors returns the forward out-arcs of u, sorted by (target,
+// weight). The slice aliases internal storage and must not be modified.
+func (g *Graph) Neighbors(u NodeID) []Arc { return g.fwd.Arcs(u) }
 
 // RNeighbors returns the reverse adjacency of u (the adjacency of u in the
 // transpose graph G^T). For undirected graphs this is identical to
-// Neighbors. The returned slices alias internal storage.
-func (g *Graph) RNeighbors(u NodeID) ([]int32, []float64) {
-	lo, hi := g.toffsets[u], g.toffsets[u+1]
-	return g.ttargets[lo:hi], g.tweights[lo:hi]
+// Neighbors. The slice aliases internal storage.
+func (g *Graph) RNeighbors(u NodeID) []Arc { return g.rev.Arcs(u) }
+
+// CSR returns the forward and reverse CSR views of g; for undirected
+// graphs the reverse view is the forward one. Every engine, pool slot and
+// shard over g shares these views.
+func (g *Graph) CSR() (fwd, rev *CSR) { return g.fwd, g.rev }
+
+// CSRBytes reports the memory footprint of g's CSR views.
+func (g *Graph) CSRBytes() int64 {
+	if g.directed {
+		return g.fwd.Bytes() + g.rev.Bytes()
+	}
+	return g.fwd.Bytes()
+}
+
+// Clone returns a copy of g whose arc slabs are its own, so PatchWeight on
+// one leaves the other untouched. The offsets and labels, which nothing
+// mutates, are shared.
+func (g *Graph) Clone() *Graph {
+	cp := *g
+	cp.fwd = &CSR{offsets: g.fwd.offsets, arcs: slices.Clone(g.fwd.arcs)}
+	cp.rev = cp.fwd
+	if g.directed {
+		cp.rev = &CSR{offsets: g.rev.offsets, arcs: slices.Clone(g.rev.arcs)}
+	}
+	return &cp
 }
 
 // HasLabels reports whether nodes carry string labels.
@@ -112,16 +127,13 @@ func (g *Graph) NodeByLabel(label string) (NodeID, bool) {
 // reported once with From < To (self-loops with From == To). Iteration stops
 // early if fn returns false.
 func (g *Graph) Edges(fn func(Edge) bool) {
-	n := g.N()
-	for u := 0; u < n; u++ {
-		lo, hi := g.offsets[u], g.offsets[u+1]
+	for u := int32(0); int(u) < g.N(); u++ {
 		selfParity := false
-		for i := lo; i < hi; i++ {
-			v, w := g.targets[i], g.weights[i]
-			if !g.directed && v < int32(u) {
+		for _, a := range g.fwd.Arcs(u) {
+			if !g.directed && a.To < u {
 				continue // reported from the smaller endpoint
 			}
-			if !g.directed && v == int32(u) {
+			if !g.directed && a.To == u {
 				// An undirected self-loop stores two identical parity arcs
 				// in this span; report the logical edge once.
 				selfParity = !selfParity
@@ -129,7 +141,7 @@ func (g *Graph) Edges(fn func(Edge) bool) {
 					continue
 				}
 			}
-			if !fn(Edge{From: int32(u), To: v, Weight: w}) {
+			if !fn(Edge{From: u, To: a.To, Weight: a.W}) {
 				return
 			}
 		}
@@ -158,68 +170,29 @@ func (g *Graph) MaxOutDegreeNode() (NodeID, int) {
 	return best, bestDeg
 }
 
-// Validate checks structural invariants: offset monotonicity, target range,
-// non-negative finite weights, and (for undirected graphs) adjacency
-// symmetry. It returns nil when the graph is well-formed.
+// Validate checks structural invariants: offset monotonicity, target
+// range, non-negative finite weights, spans sorted by (target, weight),
+// a logical edge count matching the arcs, and that the reverse CSR is
+// the transpose of the forward one — for an
+// undirected graph, that the adjacency is symmetric with every self-loop
+// stored as a pair of arcs. It returns nil when the graph is well-formed.
 func (g *Graph) Validate() error {
-	n := g.N()
-	if err := validateCSR(n, g.offsets, g.targets, g.weights); err != nil {
+	if err := g.fwd.validate(); err != nil {
 		return fmt.Errorf("forward CSR: %w", err)
 	}
-	if err := validateCSR(n, g.toffsets, g.ttargets, g.tweights); err != nil {
-		return fmt.Errorf("transpose CSR: %w", err)
+	if want := edgesIn(int64(g.fwd.NumArcs()), g.directed); g.numEdges != want {
+		return fmt.Errorf("%d logical edges, want %d for %d arcs", g.numEdges, want, g.fwd.NumArcs())
 	}
 	if !g.directed {
-		for u := 0; u < n; u++ {
-			ts, ws := g.Neighbors(int32(u))
-			for i, v := range ts {
-				if !hasArc(g, v, int32(u), ws[i]) {
-					return fmt.Errorf("undirected graph missing mirror arc %d->%d (w=%g)", v, u, ws[i])
-				}
-			}
+		if !g.fwd.symmetric() {
+			return errors.New("undirected adjacency is not symmetric")
 		}
+		return nil
+	}
+	if !g.rev.equal(transpose(g.fwd)) {
+		return errors.New("reverse CSR is not the transpose of the forward CSR")
 	}
 	return nil
-}
-
-func validateCSR(n int, offsets []int64, targets []int32, weights []float64) error {
-	if len(offsets) != n+1 {
-		return fmt.Errorf("offsets length %d, want %d", len(offsets), n+1)
-	}
-	if offsets[0] != 0 {
-		return errors.New("offsets[0] != 0")
-	}
-	for i := 0; i < n; i++ {
-		if offsets[i+1] < offsets[i] {
-			return fmt.Errorf("offsets not monotone at %d", i)
-		}
-	}
-	if got := offsets[n]; got != int64(len(targets)) {
-		return fmt.Errorf("offsets[n]=%d, want len(targets)=%d", got, len(targets))
-	}
-	if len(targets) != len(weights) {
-		return errors.New("targets and weights length mismatch")
-	}
-	for i, v := range targets {
-		if v < 0 || int(v) >= n {
-			return fmt.Errorf("target %d out of range at arc %d", v, i)
-		}
-		w := weights[i]
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return fmt.Errorf("invalid weight %g at arc %d", w, i)
-		}
-	}
-	return nil
-}
-
-func hasArc(g *Graph, u, v NodeID, w float64) bool {
-	ts, ws := g.Neighbors(u)
-	for i, t := range ts {
-		if t == v && ws[i] == w {
-			return true
-		}
-	}
-	return false
 }
 
 // Builder accumulates edges and produces an immutable Graph. The zero value
@@ -278,12 +251,17 @@ func (b *Builder) AddLabeledNode(label string) NodeID {
 
 // AddEdge records an edge. Endpoints must already exist (via AddNode,
 // AddLabeledNode, or EnsureNodes). Weights must be non-negative and finite.
+// It returns an error wrapping ErrTooLarge once the graph's arc count would
+// pass math.MaxInt32.
 func (b *Builder) AddEdge(u, v NodeID, w float64) error {
 	if u < 0 || u >= b.n || v < 0 || v >= b.n {
 		return fmt.Errorf("edge (%d,%d) references unknown node (n=%d)", u, v, b.n)
 	}
 	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 		return fmt.Errorf("edge (%d,%d) has invalid weight %g", u, v, w)
+	}
+	if !arcsFit(int64(len(b.edges))+1, b.directed) {
+		return fmt.Errorf("edge (%d,%d): %w", u, v, ErrTooLarge)
 	}
 	b.edges = append(b.edges, Edge{From: u, To: v, Weight: w})
 	return nil
@@ -310,8 +288,7 @@ func (b *Builder) Finalize() *Graph {
 	if b.dedupe {
 		edges = dedupeEdges(edges, b.directed)
 	}
-	n := int(b.n)
-	g := &Graph{directed: b.directed, numEdges: int64(len(edges))}
+	g := newGraph(int(b.n), edges, b.directed)
 	if b.labels != nil {
 		for int32(len(b.labels)) < b.n {
 			b.labels = append(b.labels, fmt.Sprintf("%d", len(b.labels)))
@@ -323,89 +300,18 @@ func (b *Builder) Finalize() *Graph {
 		}
 	}
 
-	g.offsets, g.targets, g.weights = buildCSR(n, edges, b.directed, false)
-	if b.directed {
-		g.toffsets, g.ttargets, g.tweights = buildCSR(n, edges, true, true)
-	} else {
-		g.toffsets, g.ttargets, g.tweights = g.offsets, g.targets, g.weights
-	}
 	return g
 }
 
-// buildCSR assembles a CSR from the edge list. For undirected graphs each
-// edge contributes an arc in both directions; reverse selects the transpose
-// orientation for directed graphs. Adjacency lists are sorted by (target,
-// weight) for determinism.
-func buildCSR(n int, edges []Edge, directed, reverse bool) ([]int64, []int32, []float64) {
-	arcs := len(edges)
-	if !directed {
-		arcs *= 2
+// newGraph builds the CSR views of n nodes over an edge list whose arc
+// count fits int32 offsets.
+func newGraph(n int, edges []Edge, directed bool) *Graph {
+	g := &Graph{directed: directed, numEdges: int64(len(edges)), fwd: buildCSR(n, edges, directed)}
+	g.rev = g.fwd
+	if directed {
+		g.rev = transpose(g.fwd)
 	}
-	offsets := make([]int64, n+1)
-	count := func(u NodeID) { offsets[u+1]++ }
-	for _, e := range edges {
-		from, to := e.From, e.To
-		if reverse {
-			from, to = to, from
-		}
-		count(from)
-		if !directed {
-			count(to)
-		}
-	}
-	for i := 0; i < n; i++ {
-		offsets[i+1] += offsets[i]
-	}
-	targets := make([]int32, arcs)
-	weights := make([]float64, arcs)
-	next := make([]int64, n)
-	copy(next, offsets[:n])
-	place := func(u, v NodeID, w float64) {
-		i := next[u]
-		targets[i] = v
-		weights[i] = w
-		next[u]++
-	}
-	for _, e := range edges {
-		from, to := e.From, e.To
-		if reverse {
-			from, to = to, from
-		}
-		place(from, to, e.Weight)
-		if !directed && from != to {
-			place(to, from, e.Weight)
-		} else if !directed {
-			place(to, from, e.Weight) // keep arc parity for self-loops
-		}
-	}
-	for u := 0; u < n; u++ {
-		lo, hi := offsets[u], offsets[u+1]
-		if hi-lo > 1 {
-			sortAdj(targets[lo:hi], weights[lo:hi])
-		}
-	}
-	return offsets, targets, weights
-}
-
-func sortAdj(targets []int32, weights []float64) {
-	sort.Sort(&adjSorter{targets, weights})
-}
-
-type adjSorter struct {
-	t []int32
-	w []float64
-}
-
-func (s *adjSorter) Len() int { return len(s.t) }
-func (s *adjSorter) Less(i, j int) bool {
-	if s.t[i] != s.t[j] {
-		return s.t[i] < s.t[j]
-	}
-	return s.w[i] < s.w[j]
-}
-func (s *adjSorter) Swap(i, j int) {
-	s.t[i], s.t[j] = s.t[j], s.t[i]
-	s.w[i], s.w[j] = s.w[j], s.w[i]
+	return g
 }
 
 func dedupeEdges(edges []Edge, directed bool) []Edge {

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -42,12 +43,8 @@ func TestUndirectedSymmetry(t *testing.T) {
 	if d := g.InDegree(0); d != 2 {
 		t.Errorf("indeg(0) = %d, want 2", d)
 	}
-	ts, ws := g.Neighbors(0)
-	rts, rws := g.RNeighbors(0)
-	for i := range ts {
-		if ts[i] != rts[i] || ws[i] != rws[i] {
-			t.Error("undirected transpose should alias forward adjacency")
-		}
+	if !slices.Equal(g.Neighbors(0), g.RNeighbors(0)) {
+		t.Error("undirected transpose should alias forward adjacency")
 	}
 }
 
@@ -61,18 +58,9 @@ func TestDirectedTranspose(t *testing.T) {
 	}
 	// Every forward arc must appear reversed in the transpose.
 	for u := int32(0); int(u) < g.N(); u++ {
-		ts, ws := g.Neighbors(u)
-		for i, v := range ts {
-			found := false
-			rts, rws := g.RNeighbors(v)
-			for j, r := range rts {
-				if r == u && rws[j] == ws[i] {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Errorf("arc %d->%d (w=%g) missing from transpose", u, v, ws[i])
+		for _, a := range g.Neighbors(u) {
+			if !slices.Contains(g.RNeighbors(a.To), Arc{To: u, W: a.W}) {
+				t.Errorf("arc %d->%d (w=%g) missing from transpose", u, a.To, a.W)
 			}
 		}
 	}
@@ -86,10 +74,10 @@ func TestAdjacencySorted(t *testing.T) {
 	b.MustAddEdge(0, 3, 1)
 	b.MustAddEdge(0, 1, 1)
 	g := b.Finalize()
-	ts, _ := g.Neighbors(0)
-	for i := 1; i < len(ts); i++ {
-		if ts[i] < ts[i-1] {
-			t.Fatalf("adjacency not sorted: %v", ts)
+	arcs := g.Neighbors(0)
+	for i := 1; i < len(arcs); i++ {
+		if arcs[i].To < arcs[i-1].To {
+			t.Fatalf("adjacency not sorted: %v", arcs)
 		}
 	}
 }
@@ -161,9 +149,8 @@ func TestDedupeKeepsMinWeight(t *testing.T) {
 	if g.M() != 1 {
 		t.Fatalf("M = %d, want 1", g.M())
 	}
-	_, ws := g.Neighbors(0)
-	if ws[0] != 1 {
-		t.Errorf("dedupe kept weight %g, want 1", ws[0])
+	if w := g.Neighbors(0)[0].W; w != 1 {
+		t.Errorf("dedupe kept weight %g, want 1", w)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -15,15 +16,11 @@ func sameGraph(t *testing.T, a, b *Graph) {
 			a.N(), a.M(), a.Directed(), b.N(), b.M(), b.Directed())
 	}
 	for v := int32(0); int(v) < a.N(); v++ {
-		at, aw := a.Neighbors(v)
-		bt, bw := b.Neighbors(v)
-		if len(at) != len(bt) {
-			t.Fatalf("node %d: adjacency size %d vs %d", v, len(at), len(bt))
+		if an, bn := a.Neighbors(v), b.Neighbors(v); !slices.Equal(an, bn) {
+			t.Fatalf("node %d: adjacency %v vs %v", v, an, bn)
 		}
-		for i := range at {
-			if at[i] != bt[i] || aw[i] != bw[i] {
-				t.Fatalf("node %d arc %d: (%d,%g) vs (%d,%g)", v, i, at[i], aw[i], bt[i], bw[i])
-			}
+		if an, bn := a.RNeighbors(v), b.RNeighbors(v); !slices.Equal(an, bn) {
+			t.Fatalf("node %d: reverse adjacency %v vs %v", v, an, bn)
 		}
 		if a.Label(v) != b.Label(v) {
 			t.Fatalf("node %d label %q vs %q", v, a.Label(v), b.Label(v))
@@ -101,11 +98,30 @@ func TestReadTextErrors(t *testing.T) {
 		"negative weight": "a b -1\n",
 		"bad node count":  "nodes -3\n",
 		"bad numeric":     "nodes 5\na b 1\n",
+		// WriteText could not write either back.
+		"label with comment marker": "a #b 1\n",
+		"nodes after labels":        "a b 1\nnodes 3\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadText(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted %q", name, in)
 		}
+	}
+}
+
+// TestReadTextKeywordLabels: a keyword is a header only alone on its line
+// (`nodes` with its one argument); on a three-field line it is a label, not
+// a header that swallows the edge.
+func TestReadTextKeywordLabels(t *testing.T) {
+	g, err := ReadText(strings.NewReader("directed x 1\nnodes y 2\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Directed() || g.N() != 4 || g.M() != 2 {
+		t.Fatalf("directed=%v N=%d M=%d, want an undirected graph of 4 labeled nodes and 2 edges", g.Directed(), g.N(), g.M())
+	}
+	if _, ok := g.NodeByLabel("directed"); !ok {
+		t.Error("label \"directed\" missing")
 	}
 }
 

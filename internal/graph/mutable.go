@@ -3,7 +3,9 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 )
 
 // Mutation errors, designed for errors.Is dispatch at serving boundaries
@@ -108,7 +110,12 @@ type EdgeStore struct {
 	directed bool
 	n        int
 	edges    []Edge
-	pos      map[pairKey][]int32 // edge positions per normalized pair
+	// pos maps each normalized pair to its edge's position in edges, or
+	// to -1 for a pair the seed graph recorded more than once.
+	pos map[pairKey]int32
+	// parallel holds the edges of the -1 pairs. No mutation can address
+	// them, so the list is immutable and clones share it.
+	parallel []Edge
 }
 
 // NewEdgeStore captures g's logical edges into a mutable store.
@@ -117,44 +124,47 @@ func NewEdgeStore(g *Graph) *EdgeStore {
 		directed: g.Directed(),
 		n:        g.N(),
 		edges:    make([]Edge, 0, g.M()),
-		pos:      make(map[pairKey][]int32, g.M()),
+		pos:      make(map[pairKey]int32, g.M()),
 	}
 	g.Edges(func(e Edge) bool {
-		s.addRaw(e)
+		k := s.key(e.From, e.To)
+		p, seen := s.pos[k]
+		if !seen {
+			s.pos[k] = int32(len(s.edges))
+			s.edges = append(s.edges, e)
+			return true
+		}
+		if p >= 0 { // second copy: the first joins it on the side list
+			s.parallel = append(s.parallel, s.edges[p])
+			s.removeAt(p)
+			s.pos[k] = -1
+		}
+		s.parallel = append(s.parallel, e)
 		return true
 	})
 	return s
-}
-
-// addRaw appends an edge without validation (seeding and clone paths).
-func (s *EdgeStore) addRaw(e Edge) {
-	k := s.key(e.From, e.To)
-	s.pos[k] = append(s.pos[k], int32(len(s.edges)))
-	s.edges = append(s.edges, e)
 }
 
 // N returns the node count.
 func (s *EdgeStore) N() int { return s.n }
 
 // M returns the logical edge count.
-func (s *EdgeStore) M() int { return len(s.edges) }
+func (s *EdgeStore) M() int { return len(s.edges) + len(s.parallel) }
 
 // Directed reports edge orientation.
 func (s *EdgeStore) Directed() bool { return s.directed }
 
-// Clone returns a deep copy. Mutation batches apply against a clone so a
-// mid-batch validation failure leaves the store untouched.
+// Clone returns a copy that mutates independently. Mutation batches apply
+// against a clone so a mid-batch validation failure leaves the store
+// untouched.
 func (s *EdgeStore) Clone() *EdgeStore {
-	cp := &EdgeStore{
+	return &EdgeStore{
 		directed: s.directed,
 		n:        s.n,
-		edges:    append([]Edge(nil), s.edges...),
-		pos:      make(map[pairKey][]int32, len(s.pos)),
+		edges:    slices.Clone(s.edges),
+		pos:      maps.Clone(s.pos),
+		parallel: s.parallel,
 	}
-	for k, v := range s.pos {
-		cp.pos[k] = append([]int32(nil), v...)
-	}
-	return cp
 }
 
 // checkEndpoints validates that both endpoints exist.
@@ -175,14 +185,14 @@ func checkWeight(w float64) error {
 // uniquePos resolves a pair to its single edge position, with the typed
 // not-found/ambiguous errors.
 func (s *EdgeStore) uniquePos(u, v NodeID) (int32, error) {
-	ps := s.pos[s.key(u, v)]
-	switch len(ps) {
-	case 0:
+	p, ok := s.pos[s.key(u, v)]
+	if !ok {
 		return 0, fmt.Errorf("edge (%d,%d): %w", u, v, ErrEdgeNotFound)
-	case 1:
-		return ps[0], nil
 	}
-	return 0, fmt.Errorf("edge (%d,%d) recorded %d times: %w", u, v, len(ps), ErrAmbiguousEdge)
+	if p < 0 {
+		return 0, fmt.Errorf("edge (%d,%d) recorded more than once: %w", u, v, ErrAmbiguousEdge)
+	}
+	return p, nil
 }
 
 // Apply performs one mutation. On error the store is unchanged.
@@ -195,10 +205,15 @@ func (s *EdgeStore) Apply(m Mutation) error {
 		if err := checkWeight(m.Weight); err != nil {
 			return err
 		}
-		if len(s.pos[s.key(m.U, m.V)]) > 0 {
+		k := s.key(m.U, m.V)
+		if _, ok := s.pos[k]; ok {
 			return fmt.Errorf("edge (%d,%d): %w", m.U, m.V, ErrEdgeExists)
 		}
-		s.addRaw(Edge{From: m.U, To: m.V, Weight: m.Weight})
+		if !arcsFit(int64(s.M())+1, s.directed) {
+			return fmt.Errorf("edge (%d,%d): %w (%w)", m.U, m.V, ErrTooLarge, ErrBadMutation)
+		}
+		s.pos[k] = int32(len(s.edges))
+		s.edges = append(s.edges, Edge{From: m.U, To: m.V, Weight: m.Weight})
 		return nil
 	case MutDeleteEdge:
 		if err := s.checkEndpoints(m.U, m.V); err != nil {
@@ -208,6 +223,7 @@ func (s *EdgeStore) Apply(m Mutation) error {
 		if err != nil {
 			return err
 		}
+		delete(s.pos, s.key(m.U, m.V))
 		s.removeAt(p)
 		return nil
 	case MutSetWeight:
@@ -237,56 +253,34 @@ func (s *EdgeStore) Apply(m Mutation) error {
 	return fmt.Errorf("op %d: %w", m.Op, ErrBadMutation)
 }
 
-// removeAt deletes the edge at position p by swap-remove, fixing up the
-// pair index of the edge moved into the hole. Edge order does not matter:
-// Build sorts adjacency by (target, weight) regardless.
+// removeAt deletes the edge at position p by swap-remove, re-pointing the
+// pair of the edge moved into the hole; the caller updates the removed
+// edge's own pair. Edge order does not matter: Build sorts adjacency by
+// (target, weight) regardless.
 func (s *EdgeStore) removeAt(p int32) {
-	e := s.edges[p]
-	k := s.key(e.From, e.To)
-	s.dropPos(k, p)
 	last := int32(len(s.edges) - 1)
 	if p != last {
 		moved := s.edges[last]
 		s.edges[p] = moved
-		mk := s.key(moved.From, moved.To)
-		s.dropPos(mk, last)
-		s.pos[mk] = append(s.pos[mk], p)
+		s.pos[s.key(moved.From, moved.To)] = p
 	}
 	s.edges = s.edges[:last]
-}
-
-// dropPos removes one position from a pair's position list.
-func (s *EdgeStore) dropPos(k pairKey, p int32) {
-	ps := s.pos[k]
-	for i, q := range ps {
-		if q == p {
-			ps[i] = ps[len(ps)-1]
-			ps = ps[:len(ps)-1]
-			break
-		}
-	}
-	if len(ps) == 0 {
-		delete(s.pos, k)
-	} else {
-		s.pos[k] = ps
-	}
 }
 
 // Build materializes the current edge set as an immutable Graph,
 // byte-identical to a from-scratch Builder over the same edges.
 func (s *EdgeStore) Build() *Graph {
-	b := NewBuilder(s.directed)
-	b.EnsureNodes(s.n)
-	for _, e := range s.edges {
-		b.MustAddEdge(e.From, e.To, e.Weight)
+	edges := s.edges
+	if len(s.parallel) > 0 {
+		edges = slices.Concat(s.edges, s.parallel)
 	}
-	return b.Finalize()
+	return newGraph(s.n, edges, s.directed)
 }
 
 // WeightOnly reports whether every mutation in the batch is a weight
 // change — the precondition for the in-place CSR patch path (PatchWeight):
-// topology is untouched, so adjacency spans, packing, and node count all
-// stay valid.
+// topology is untouched, so adjacency spans and node count all stay
+// valid.
 func WeightOnly(ms []Mutation) bool {
 	for _, m := range ms {
 		if m.Op != MutSetWeight {
@@ -296,50 +290,20 @@ func WeightOnly(ms []Mutation) bool {
 	return true
 }
 
-// PatchWeight updates the weight of edge (u, v) in place in g's CSR
-// arrays (forward, transpose, and any built packed views), producing
-// arrays byte-identical to a rebuild with the new weight. It is only
-// sound when the pair maps to a single logical edge (EdgeStore.Apply
-// validates that before calling) — adjacency is sorted by (target,
-// weight), so an arc whose target is unique in its span keeps its
-// position under any weight.
+// PatchWeight updates the weight of edge (u, v) in place in g's arc slabs
+// (forward and reverse), producing arrays byte-identical to a rebuild
+// with the new weight. It is only sound when the pair maps to a single
+// logical edge (EdgeStore.Apply validates that before calling) —
+// adjacency is sorted by (target, weight), so an arc whose target is
+// unique in its span keeps its position under any weight.
 //
 // Callers must guarantee exclusive access: no traversal may be running
 // (the live store's epoch barrier holds every reader out while patching).
 func (g *Graph) PatchWeight(u, v NodeID, w float64) {
-	g.patchArcs(g.offsets, g.targets, g.weights, u, v, w)
-	if g.directed {
-		g.patchArcs(g.toffsets, g.ttargets, g.tweights, v, u, w)
-	} else if u != v {
-		// Undirected mirror arc; transpose arrays alias forward ones.
-		g.patchArcs(g.offsets, g.targets, g.weights, v, u, w)
-	}
-	if pv, ok := packedViews.Load(g); ok {
-		p := pv.(*packed)
-		if p.fwd != nil {
-			patchPackedArcs(p.fwd, u, v, w)
-			if u != v || g.directed {
-				patchPackedArcs(p.rev, v, u, w)
-			}
-		}
-	}
-}
-
-// patchArcs rewrites every arc u->v in one CSR orientation (multiple arcs
-// only occur for undirected self-loops, whose two parity arcs are
-// identical).
-func (g *Graph) patchArcs(offsets []int64, targets []int32, weights []float64, u, v NodeID, w float64) {
-	for i := offsets[u]; i < offsets[u+1]; i++ {
-		if targets[i] == v {
-			weights[i] = w
-		}
-	}
-}
-
-func patchPackedArcs(c *CSR, u, v NodeID, w float64) {
-	for i := c.offsets[u]; i < c.offsets[u+1]; i++ {
-		if c.arcs[i].To == v {
-			c.arcs[i].W = w
-		}
+	g.fwd.patch(u, v, w)
+	if g.directed || u != v {
+		// The reverse arc; for an undirected graph the mirror arc in the
+		// same slab (a self-loop's two arcs were both patched above).
+		g.rev.patch(v, u, w)
 	}
 }

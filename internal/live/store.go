@@ -9,9 +9,9 @@
 //     one RLock on the epoch barrier for its duration, which is what lets
 //     writers exclude readers per mutation batch.
 //   - Cheap writes (weight-only batches): the writer takes the exclusive
-//     epoch barrier, quiesces the engine pool, patches the CSR arrays and
-//     packed views in place (byte-identical to a rebuild — see
-//     graph.PatchWeight), invalidates the dynamic index, and publishes a
+//     epoch barrier, quiesces the engine pool, patches the CSR arc slabs
+//     in place (byte-identical to a rebuild — see graph.PatchWeight),
+//     invalidates the dynamic index, and publishes a
 //     new state at generation+1. No allocation proportional to the graph.
 //   - Expensive writes (topology changes): the replacement graph, pool,
 //     and index are built OUTSIDE the barrier while the old state keeps
@@ -327,7 +327,7 @@ func (s *Store) HubLabelBytes() int64 {
 	return 0
 }
 
-// CSRBytes reports the current graph's packed-view footprint.
+// CSRBytes reports the current graph's CSR footprint.
 func (s *Store) CSRBytes() int64 { return s.state.Load().g.CSRBytes() }
 
 // Graph returns the current graph snapshot (serving-layer metadata).
@@ -413,7 +413,7 @@ func (s *Store) Mutate(ctx context.Context, ms []graph.Mutation) (MutateInfo, er
 }
 
 // applyPatch is the cheap write path: weight-only batches patch the CSR
-// arrays in place under the exclusive epoch barrier. The pool quiesce
+// arc slabs in place under the exclusive epoch barrier. The pool quiesce
 // inside the barrier is defense in depth — with every query holding the
 // barrier's RLock no engine can be borrowed here — and documents the
 // invariant the patch relies on: no traversal may be running.

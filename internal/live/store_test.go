@@ -3,8 +3,10 @@ package live
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"rkranks/internal/core"
 	"rkranks/internal/graph"
@@ -213,4 +215,35 @@ func TestStoreIndexAcrossRebuild(t *testing.T) {
 			t.Fatalf("indexed diverged after rebuild: %v vs %v", got.Entries, want.Entries)
 		}
 	}
+}
+
+// TestTopologyBatchReleasesOldGraph: once a topology batch swaps in the
+// rebuilt graph, nothing keeps the pre-batch state's graph alive, so a
+// long-running live store's heap does not grow with every rebuild.
+func TestTopologyBatchReleasesOldGraph(t *testing.T) {
+	ctx := context.Background()
+	s, old := func() (*Store, weak.Pointer[graph.Graph]) {
+		g := tg.Path(50)
+		return mustStore(t, g, Config{PoolSize: 1}), weak.Make(g)
+	}()
+	if _, err := s.QueryContext(ctx, core.Dynamic, 0, 3); err != nil {
+		t.Fatal(err)
+	}
+	info, err := s.Mutate(ctx, []graph.Mutation{graph.InsertEdge(0, 9, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Rebuilt {
+		t.Fatalf("insert_edge batch took the patch path: %+v", info)
+	}
+	if _, err := s.QueryContext(ctx, core.Dynamic, 0, 3); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10 && old.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if old.Value() != nil {
+		t.Fatal("the pre-batch graph is still reachable after the topology batch")
+	}
+	runtime.KeepAlive(s)
 }

@@ -65,9 +65,8 @@ func Scores(g *graph.Graph, source int32, p Params) ([]float64, error) {
 	// Precompute out-weight sums.
 	outSum := make([]float64, n)
 	for u := 0; u < n; u++ {
-		_, ws := g.Neighbors(int32(u))
-		for _, w := range ws {
-			outSum[u] += w
+		for _, a := range g.Neighbors(int32(u)) {
+			outSum[u] += a.W
 		}
 	}
 	cur := make([]float64, n)
@@ -87,10 +86,9 @@ func Scores(g *graph.Graph, source int32, p Params) ([]float64, error) {
 				dangling += mass
 				continue
 			}
-			ts, ws := g.Neighbors(int32(u))
 			scale := (1 - p.Alpha) * mass / outSum[u]
-			for i, v := range ts {
-				next[v] += scale * ws[i]
+			for _, a := range g.Neighbors(int32(u)) {
+				next[a.To] += scale * a.W
 			}
 			dangling += 0 // explicit: non-dangling mass handled above
 		}

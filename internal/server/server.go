@@ -83,7 +83,7 @@ type Mutator interface {
 //   - interface{ CacheSnapshot() any } extends /statsz with the response
 //     cache's hit/coalesce/eviction counters and byte occupancy;
 //   - interface{ CSRBytes() int64 } extends /statsz with the memory
-//     footprint of the packed CSR graph views the backend traverses
+//     footprint of the CSR graph views the backend traverses
 //     (core.Pool implements it; the server's own graph is the fallback);
 //   - interface{ HubLabeled() bool } extends /healthz with whether the
 //     backend serves HubLabel queries, and

@@ -8,11 +8,8 @@
 //   - reverse-graph traversal for computing distances *to* a node;
 //   - O(touched) per-query cost via epoch-reset workspaces.
 //
-// The expand loops iterate the graph's packed CSR view (graph.Packed): one
-// interleaved Arc{target, weight} stream per node instead of two parallel
-// slices, which halves the pointer traffic of the relaxation inner loop.
-// Graphs too large for int32 CSR offsets fall back to the adjacency-slice
-// path transparently.
+// The expand loops iterate the graph's CSR views (graph.Graph.CSR): one
+// interleaved Arc{target, weight} stream per node.
 //
 // A Search is bound to one graph and reused across many runs; it is not
 // safe for concurrent use (use one Search per goroutine).
@@ -31,10 +28,9 @@ type Search struct {
 	q       *pqueue.Queue
 	parent  []int32
 	depth   []int32
-	fwd     *graph.CSR // packed forward view, nil when the graph overflows int32 offsets
-	rev     *graph.CSR // packed reverse view (aliases fwd for undirected graphs)
-	cur     *graph.CSR // view for the current run's direction, nil on the slice path
-	reverse bool
+	fwd     *graph.CSR
+	rev     *graph.CSR // == fwd for undirected graphs
+	cur     *graph.CSR // view for the current run's direction
 	lite    bool
 	settled int
 }
@@ -42,7 +38,7 @@ type Search struct {
 // New returns a Search over g.
 func New(g *graph.Graph) *Search {
 	n := g.N()
-	fwd, rev := g.Packed()
+	fwd, rev := g.CSR()
 	return &Search{
 		g:      g,
 		q:      pqueue.New(n),
@@ -59,7 +55,7 @@ func New(g *graph.Graph) *Search {
 // callers that only consume settle order and distances — the rank
 // refinement inner loop in particular.
 func NewLite(g *graph.Graph) *Search {
-	fwd, rev := g.Packed()
+	fwd, rev := g.CSR()
 	return &Search{
 		g:    g,
 		q:    pqueue.New(g.N()),
@@ -69,32 +65,20 @@ func NewLite(g *graph.Graph) *Search {
 	}
 }
 
-// DisablePacked forces this Search onto the adjacency-slice path, as if the
-// graph were too large to pack. It exists so tests and benchmarks can
-// compare the two kernels; production callers never need it.
-func (s *Search) DisablePacked() {
-	s.fwd, s.rev, s.cur = nil, nil, nil
-}
-
 // Graph returns the graph this search traverses.
 func (s *Search) Graph() *graph.Graph { return s.g }
 
 // Reset prepares a forward traversal from src (distances d(src, v)).
-func (s *Search) Reset(src int32) { s.reset(src, false) }
+func (s *Search) Reset(src int32) { s.reset(src, s.fwd) }
 
 // ResetReverse prepares a traversal of the transpose graph from src, so the
 // reported distances are d(v, src) in the original graph. For undirected
 // graphs this is identical to Reset.
-func (s *Search) ResetReverse(src int32) { s.reset(src, true) }
+func (s *Search) ResetReverse(src int32) { s.reset(src, s.rev) }
 
-func (s *Search) reset(src int32, reverse bool) {
+func (s *Search) reset(src int32, view *graph.CSR) {
 	s.q.Reset()
-	s.reverse = reverse
-	if reverse {
-		s.cur = s.rev
-	} else {
-		s.cur = s.fwd
-	}
+	s.cur = view
 	s.settled = 0
 	s.q.Push(src, 0)
 	if !s.lite {
@@ -135,9 +119,9 @@ func (s *Search) PopExpandBounded(maxDist float64) (v int32, dist float64, ok bo
 	}
 	v, dist = s.q.PopMin()
 	s.settled++
-	if c := s.cur; c != nil && s.lite {
-		// Hottest variant: packed arcs, no tree bookkeeping.
-		for _, a := range c.Arcs(v) {
+	if s.lite {
+		// Hottest variant: no tree bookkeeping.
+		for _, a := range s.cur.Arcs(v) {
 			nd := dist + a.W
 			if nd > maxDist {
 				continue
@@ -146,12 +130,10 @@ func (s *Search) PopExpandBounded(maxDist float64) (v int32, dist float64, ok bo
 		}
 		return v, dist, true
 	}
-	if !s.lite {
-		if p := s.parent[v]; p >= 0 {
-			s.depth[v] = s.depth[p] + 1
-		} else {
-			s.depth[v] = 0
-		}
+	if p := s.parent[v]; p >= 0 {
+		s.depth[v] = s.depth[p] + 1
+	} else {
+		s.depth[v] = 0
 	}
 	s.ExpandBounded(v, dist, maxDist)
 	return v, dist, true
@@ -160,36 +142,15 @@ func (s *Search) PopExpandBounded(maxDist float64) (v int32, dist float64, ok bo
 // Expand relaxes the out-arcs of a node previously returned by Pop, where
 // dist is the distance Pop reported for it.
 func (s *Search) Expand(v int32, dist float64) {
-	if c := s.cur; c != nil {
-		if s.lite {
-			for _, a := range c.Arcs(v) {
-				s.q.Push(a.To, dist+a.W)
-			}
-			return
-		}
-		for _, a := range c.Arcs(v) {
-			if s.q.Push(a.To, dist+a.W) {
-				s.parent[a.To] = v
-			}
-		}
-		return
-	}
-	var ts []int32
-	var ws []float64
-	if s.reverse {
-		ts, ws = s.g.RNeighbors(v)
-	} else {
-		ts, ws = s.g.Neighbors(v)
-	}
 	if s.lite {
-		for i, t := range ts {
-			s.q.Push(t, dist+ws[i])
+		for _, a := range s.cur.Arcs(v) {
+			s.q.Push(a.To, dist+a.W)
 		}
 		return
 	}
-	for i, t := range ts {
-		if s.q.Push(t, dist+ws[i]) {
-			s.parent[t] = v
+	for _, a := range s.cur.Arcs(v) {
+		if s.q.Push(a.To, dist+a.W) {
+			s.parent[a.To] = v
 		}
 	}
 }
@@ -202,52 +163,23 @@ func (s *Search) Expand(v int32, dist float64) {
 // re-offered if a shorter path to it is found later, so settle order below
 // maxDist is unaffected.
 func (s *Search) ExpandBounded(v int32, dist, maxDist float64) {
-	if c := s.cur; c != nil {
-		if s.lite {
-			for _, a := range c.Arcs(v) {
-				nd := dist + a.W
-				if nd > maxDist {
-					continue
-				}
-				s.q.Push(a.To, nd)
-			}
-			return
-		}
-		for _, a := range c.Arcs(v) {
+	if s.lite {
+		for _, a := range s.cur.Arcs(v) {
 			nd := dist + a.W
 			if nd > maxDist {
 				continue
 			}
-			if s.q.Push(a.To, nd) {
-				s.parent[a.To] = v
-			}
+			s.q.Push(a.To, nd)
 		}
 		return
 	}
-	var ts []int32
-	var ws []float64
-	if s.reverse {
-		ts, ws = s.g.RNeighbors(v)
-	} else {
-		ts, ws = s.g.Neighbors(v)
-	}
-	if s.lite {
-		for i, t := range ts {
-			nd := dist + ws[i]
-			if nd > maxDist {
-				continue
-			}
-			s.q.Push(t, nd)
-		}
-		return
-	}
-	for i, t := range ts {
-		nd := dist + ws[i]
+	for _, a := range s.cur.Arcs(v) {
+		nd := dist + a.W
 		if nd > maxDist {
 			continue
 		}
-		if s.q.Push(t, nd) {
-			s.parent[t] = v
+		if s.q.Push(a.To, nd) {
+			s.parent[a.To] = v
 		}
 	}
 }

@@ -25,16 +25,13 @@ func bellmanFord(g *graph.Graph, src int32, reverse bool) []float64 {
 			if math.IsInf(dist[u], 1) {
 				continue
 			}
-			var ts []int32
-			var ws []float64
+			arcs := g.Neighbors(u)
 			if reverse {
-				ts, ws = g.RNeighbors(u)
-			} else {
-				ts, ws = g.Neighbors(u)
+				arcs = g.RNeighbors(u)
 			}
-			for i, v := range ts {
-				if nd := dist[u] + ws[i]; nd < dist[v] {
-					dist[v] = nd
+			for _, a := range arcs {
+				if nd := dist[u] + a.W; nd < dist[a.To] {
+					dist[a.To] = nd
 					changed = true
 				}
 			}
@@ -128,10 +125,9 @@ func TestParentsFormShortestPathTree(t *testing.T) {
 			t.Fatalf("settled node %d has no parent", v)
 		}
 		// The parent edge must certify the distance.
-		ts, ws := g.Neighbors(p)
 		ok := false
-		for i, u := range ts {
-			if u == v && math.Abs(dist[p]+ws[i]-dist[v]) < 1e-9 {
+		for _, a := range g.Neighbors(p) {
+			if a.To == v && math.Abs(dist[p]+a.W-dist[v]) < 1e-9 {
 				ok = true
 				break
 			}

@@ -118,6 +118,9 @@ type (
 	Builder = graph.Builder
 	// Edge is a weighted edge, as reported by Graph.Edges.
 	Edge = graph.Edge
+	// Arc is one out-arc (target, weight), as returned by Graph.Neighbors
+	// and Graph.RNeighbors.
+	Arc = graph.Arc
 	// Engine evaluates reverse k-ranks queries; it owns reusable
 	// workspaces and is not safe for concurrent use.
 	Engine = core.Engine

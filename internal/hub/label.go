@@ -1,14 +1,14 @@
 package hub
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"rkranks/internal/graph"
+	"rkranks/internal/parallel"
 	"rkranks/internal/sssp"
 )
 
@@ -124,42 +124,24 @@ func BuildLabels(g *graph.Graph, roots []int32, workers int) (*Labels, error) {
 	scratch := newSearchState(g, len(roots)) // serial commit-time re-filter
 	results := make([]waveResult, waveSize)
 	for lo := 0; lo < len(roots); lo += waveSize {
-		hi := lo + waveSize
-		if hi > len(roots) {
-			hi = len(roots)
-		}
-		wave := roots[lo:hi]
+		wave := roots[lo:min(lo+waveSize, len(roots))]
 		// Parallel phase: every root in the wave searches against the
 		// labels committed by previous waves only — a frozen snapshot, so
 		// scheduling cannot influence what any search sees.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers && w < len(wave); w++ {
-			wg.Add(1)
-			go func(st *searchState) {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(wave) {
-						return
-					}
-					results[i] = b.searchRoot(st, wave[i])
-				}
-			}(states[w])
-		}
-		wg.Wait()
+		parallel.For(min(workers, len(wave)), len(wave), 1, func(w, i int) {
+			results[i] = b.searchRoot(states[w], wave[i])
+		})
 		// Serial phase: commit in root order, re-filtering each root's
-		// survivors against everything committed so far — including the
-		// earlier roots of this same wave, which the parallel searches
-		// could not see. Commit order is fixed, so the labeling is
-		// deterministic for any worker count.
+		// survivors against the earlier roots of this same wave, which the
+		// parallel searches could not see. Commit order is fixed, so the
+		// labeling is deterministic for any worker count.
 		for i := range wave {
-			b.commit(scratch, int32(lo+i), results[i])
+			b.commit(scratch, int32(lo), int32(lo+i), results[i])
 			results[i] = waveResult{}
 		}
 	}
 
-	return b.assemble(hubOrd)
+	return b.assemble(hubOrd, workers)
 }
 
 // nodeDist is one settled (node, distance) pair of a root search.
@@ -279,17 +261,37 @@ func covered(hubDist []float64, label []labEntry, d float64) bool {
 	return false
 }
 
-// commit re-filters one root's wave survivors against everything
-// committed so far — including earlier roots of the same wave — and
-// appends what remains to the per-node labels. Runs serially in root
-// order; every committed entry has a strictly smaller ordinal than ord,
-// so appended entries keep each label sorted by ordinal for free.
-func (b *labelBuilder) commit(st *searchState, ord int32, res waveResult) {
+// coveredSince is covered restricted to the label's entries with ordinal
+// >= lo. Labels under construction are sorted by ordinal, so those entries
+// form a suffix.
+func coveredSince(hubDist []float64, label []labEntry, lo int32, d float64) bool {
+	return covered(hubDist, since(label, lo), d)
+}
+
+// since returns the suffix of an ordinal-sorted label holding its entries
+// with ordinal >= lo.
+func since(label []labEntry, lo int32) []labEntry {
+	i := len(label)
+	for i > 0 && label[i-1].ord >= lo {
+		i--
+	}
+	return label[i:]
+}
+
+// commit re-filters one root's wave survivors against the entries the
+// earlier roots of its wave (ordinals lo up to ord) committed, and appends
+// what remains to the per-node labels. Runs serially in root order; every
+// committed entry has a strictly smaller ordinal than ord, so appended
+// entries keep each label sorted by ordinal for free.
+func (b *labelBuilder) commit(st *searchState, lo, ord int32, res waveResult) {
 	root := b.roots[ord]
 
-	st.load(b.out[root])
+	// The root's search already tested every survivor, at this same
+	// distance, against all entries with ordinal < lo and found it
+	// uncovered; only the suffix this wave appended can cover it now.
+	st.load(since(b.out[root], lo))
 	for _, nd := range res.fwd {
-		if covered(st.hubDist, b.in[nd.node], nd.dist) {
+		if coveredSince(st.hubDist, b.in[nd.node], lo, nd.dist) {
 			continue
 		}
 		b.in[nd.node] = append(b.in[nd.node], labEntry{ord, nd.dist})
@@ -300,9 +302,11 @@ func (b *labelBuilder) commit(st *searchState, ord int32, res waveResult) {
 	if !b.directed {
 		return
 	}
-	st.load(b.in[root])
+	// Same for the reverse search: it tested each survivor against every
+	// entry with ordinal < lo, so only this wave's suffix is left to check.
+	st.load(since(b.in[root], lo))
 	for _, nd := range res.rev {
-		if covered(st.hubDist, b.out[nd.node], nd.dist) {
+		if coveredSince(st.hubDist, b.out[nd.node], lo, nd.dist) {
 			continue
 		}
 		b.out[nd.node] = append(b.out[nd.node], labEntry{ord, nd.dist})
@@ -310,8 +314,10 @@ func (b *labelBuilder) commit(st *searchState, ord int32, res waveResult) {
 	st.release()
 }
 
-// assemble flattens the per-node label slices into the final slabs.
-func (b *labelBuilder) assemble(hubOrd []int32) (*Labels, error) {
+// assemble flattens the per-node label slices into the final slabs. The
+// offsets come first, serially; then workers goroutines sort each node's
+// and each hub's span and write it straight into its place in the slabs.
+func (b *labelBuilder) assemble(hubOrd []int32, workers int) (*Labels, error) {
 	n := b.g.N()
 	l := &Labels{
 		n:        int32(n),
@@ -320,75 +326,81 @@ func (b *labelBuilder) assemble(hubOrd []int32) (*Labels, error) {
 		hubOrd:   hubOrd,
 	}
 	var err error
-	if l.outOff, l.outHub, l.outDist, err = flatten(b.out); err != nil {
+	if l.outOff, err = offsets(b.out); err != nil {
 		return nil, err
 	}
+	l.outHub, l.outDist = make([]int32, l.outOff[n]), make([]float64, l.outOff[n])
 	if b.directed {
-		if l.inOff, l.inHub, l.inDist, err = flatten(b.in); err != nil {
+		if l.inOff, err = offsets(b.in); err != nil {
 			return nil, err
 		}
+		l.inHub, l.inDist = make([]int32, l.inOff[n]), make([]float64, l.inOff[n])
 	} else {
 		l.inOff, l.inHub, l.inDist = l.outOff, l.outHub, l.outDist
 	}
-
 	// Inverted in-lists, sorted by (dist, node) so the engine's threshold
 	// scans are prefix scans. The forward survivors arrive in settle order
 	// (distance ascending); the sort only canonicalizes equal-distance
 	// ties by node id.
-	total := 0
-	for _, kept := range b.fwdKept {
-		total += len(kept)
+	if l.invOff, err = offsets(b.fwdKept); err != nil {
+		return nil, err
 	}
-	if total > math.MaxInt32 {
-		return nil, fmt.Errorf("hub: labeling has %d in-entries, exceeding int32 offsets", total)
-	}
-	l.invOff = make([]int32, len(b.roots)+1)
-	l.invNode = make([]int32, 0, total)
-	l.invDist = make([]float64, 0, total)
-	for j, kept := range b.fwdKept {
-		sort.Slice(kept, func(a, b int) bool {
-			if kept[a].dist != kept[b].dist {
-				return kept[a].dist < kept[b].dist
-			}
-			return kept[a].node < kept[b].node
-		})
-		for _, nd := range kept {
-			l.invNode = append(l.invNode, nd.node)
-			l.invDist = append(l.invDist, nd.dist)
+	l.invNode, l.invDist = make([]int32, l.invOff[len(b.roots)]), make([]float64, l.invOff[len(b.roots)])
+
+	// Labels are sorted by (distance, ordinal), see the Labels field docs
+	// for why distance-major. Keys are unique within every span, so the
+	// order does not depend on the sort algorithm.
+	parallel.For(workers, n, 256, func(_, v int) {
+		flatten(b.out[v], l.outHub[l.outOff[v]:], l.outDist[l.outOff[v]:])
+		if b.directed {
+			flatten(b.in[v], l.inHub[l.inOff[v]:], l.inDist[l.inOff[v]:])
 		}
-		l.invOff[j+1] = int32(len(l.invNode))
-	}
+	})
+	parallel.For(workers, len(b.roots), 1, func(_, j int) {
+		kept := b.fwdKept[j]
+		slices.SortFunc(kept, func(x, y nodeDist) int {
+			if x.dist != y.dist {
+				return cmp.Compare(x.dist, y.dist)
+			}
+			return cmp.Compare(x.node, y.node)
+		})
+		at := l.invOff[j]
+		for i, nd := range kept {
+			l.invNode[at+int32(i)] = nd.node
+			l.invDist[at+int32(i)] = nd.dist
+		}
+	})
 	return l, nil
 }
 
-// flatten converts per-node entry slices to CSR slabs, sorting each
-// node's entries by (distance, ordinal) ascending (see the Labels field
-// docs for why distance-major).
-func flatten(lists [][]labEntry) (off, hubs []int32, dists []float64, err error) {
+// offsets returns the CSR offsets of the given spans, refusing a total
+// past int32 offsets.
+func offsets[E any](spans [][]E) ([]int32, error) {
+	off := make([]int32, len(spans)+1)
 	total := 0
-	for _, lst := range lists {
-		total += len(lst)
-	}
-	if total > math.MaxInt32 {
-		return nil, nil, nil, fmt.Errorf("hub: labeling has %d entries, exceeding int32 offsets", total)
-	}
-	off = make([]int32, len(lists)+1)
-	hubs = make([]int32, 0, total)
-	dists = make([]float64, 0, total)
-	for v, lst := range lists {
-		sort.Slice(lst, func(x, y int) bool {
-			if lst[x].dist != lst[y].dist {
-				return lst[x].dist < lst[y].dist
-			}
-			return lst[x].ord < lst[y].ord
-		})
-		for _, e := range lst {
-			hubs = append(hubs, e.ord)
-			dists = append(dists, e.dist)
+	for i, s := range spans {
+		total += len(s)
+		if total > math.MaxInt32 {
+			return nil, fmt.Errorf("hub: labeling has more than %d entries in one slab, exceeding int32 offsets", math.MaxInt32)
 		}
-		off[v+1] = int32(len(hubs))
+		off[i+1] = int32(total)
 	}
-	return off, hubs, dists, nil
+	return off, nil
+}
+
+// flatten sorts one node's entries by (distance, ordinal) and writes them
+// to the front of hubs and dists.
+func flatten(lst []labEntry, hubs []int32, dists []float64) {
+	slices.SortFunc(lst, func(x, y labEntry) int {
+		if x.dist != y.dist {
+			return cmp.Compare(x.dist, y.dist)
+		}
+		return cmp.Compare(x.ord, y.ord)
+	})
+	for i, e := range lst {
+		hubs[i] = e.ord
+		dists[i] = e.dist
+	}
 }
 
 // N returns the node count of the labeled graph.

@@ -362,3 +362,17 @@ func TestLabelAccessors(t *testing.T) {
 		t.Fatalf("inverted lists hold %d entries, labels hold %d", len(inv), entries)
 	}
 }
+
+// BenchmarkBuildLabels times one labeling build at a fixed size: a
+// 3000-node dblp-like graph with 200 degree-first roots (seven waves), on
+// GOMAXPROCS workers.
+func BenchmarkBuildLabels(b *testing.B) {
+	g := gen.DBLPLike(gen.DBLPLikeParams{Nodes: 3000, AttachPerNode: 7, ExtraCollabFactor: 0.5, Seed: 1})
+	roots := Order(g, DegreeFirst, 200, Options{Seed: 1})
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := BuildLabels(g, roots, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

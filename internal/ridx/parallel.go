@@ -1,57 +1,115 @@
 package ridx
 
 import (
+	"cmp"
 	"runtime"
-	"sync"
+	"slices"
 
 	"rkranks/internal/graph"
+	"rkranks/internal/parallel"
+	"rkranks/internal/rank"
 	"rkranks/internal/sssp"
 )
 
 // BuildParallel builds the same serial index as Build using worker
-// goroutines (workers <= 0 uses GOMAXPROCS). Hub searches are independent,
-// so each worker accumulates a private partial index over its share of
-// hubs; the partials are then merged by re-offering every entry. The
-// result is identical to Build's regardless of worker count or scheduling,
-// because Offer is order-independent: entries are exact (u, rank) facts
-// and the per-node list keeps the best maxK by (rank, node).
-//
-// For an index that will be shared by concurrent engines afterwards, use
-// BuildSharded instead, which writes a ShardedIndex directly.
+// goroutines (workers <= 0 uses GOMAXPROCS). Each worker runs its share of
+// the hub searches into private per-node lists, sorted by (rank, node) and
+// capped at K; the workers' lists are then merged per node, in parallel,
+// into exact-size lists. The result is identical to Build's for any worker
+// count or schedule: entries are exact (u, rank) facts, and the best K of
+// all offers are the best K of the workers' best K. Build memory is
+// O(workers × n × K), the workers' lists.
 func BuildParallel(g *graph.Graph, p BuildParams, workers int) (*SerialIndex, error) {
 	if err := checkParams(p); err != nil {
 		return nil, err
 	}
-	hubs := p.eligibleHubs()
+	n := g.N()
+	ix := New(n, p.K)
+	ix.hubs = p.eligibleHubs()
+	// Build's Offer drops a repeated hub's second round of offers; searching
+	// each hub once also keeps every (v, hub) pair in one worker's lists.
+	hubs := slices.Compact(slices.Sorted(slices.Values(ix.hubs)))
 	workers = clampWorkers(workers, len(hubs))
-	out := New(g.N(), p.K)
-	out.hubs = hubs
-	if workers <= 1 {
-		forEachHub(g, hubs, 1, func(_ int, s *sssp.Search, h int32) {
-			addHub(out, s, h, p.M, p.Counted)
-		})
-		return out, nil
+	parts := make([]topK, workers)
+	searches := make([]*sssp.Search, workers)
+	for w := range parts {
+		parts[w] = topK{k: p.K, lists: make([][]rank.Entry, n), check: ix.check}
+		searches[w] = sssp.NewLite(g)
 	}
-
-	partials := make([]*SerialIndex, workers)
-	for w := range partials {
-		partials[w] = New(g.N(), p.K)
-	}
-	forEachHub(g, hubs, workers, func(w int, s *sssp.Search, h int32) {
-		addHub(partials[w], s, h, p.M, p.Counted)
+	parallel.For(workers, len(hubs), 1, func(w, i int) {
+		addHub(&parts[w], searches[w], hubs[i], p.M, p.Counted)
 	})
+	cursors := make([][]int, workers)
+	for w := range cursors {
+		cursors[w] = make([]int, workers)
+	}
+	parallel.For(workers, n, 256, func(w, v int) {
+		ix.rrd[v] = merge(parts, v, p.K, cursors[w])
+	})
+	return ix, nil
+}
 
-	for _, part := range partials {
-		for v, list := range part.rrd {
-			for _, e := range list {
-				out.Offer(int32(v), e.Node, e.Rank)
+// topK is one build worker's private Reverse Rank Dictionary. Workers
+// search distinct hubs, so a list never sees a node twice, and the Check
+// slots a worker raises — its own hubs' — are written by no other worker.
+type topK struct {
+	k     int
+	lists [][]rank.Entry // per node, sorted by (rank, node), at most k long
+	check []int32        // the index's Check Dictionary, shared by all workers
+}
+
+// Offer inserts (u, r) into v's list by binary search. A full list
+// rejects an entry no better than its last one without searching.
+func (t *topK) Offer(v, u, r int32) bool {
+	list := t.lists[v]
+	e := rank.Entry{Node: u, Rank: r}
+	if len(list) == t.k && compareEntries(e, list[len(list)-1]) >= 0 {
+		return false
+	}
+	i, _ := slices.BinarySearchFunc(list, e, compareEntries)
+	if len(list) < t.k {
+		list = append(list, rank.Entry{})
+	}
+	copy(list[i+1:], list[i:])
+	list[i] = e
+	t.lists[v] = list
+	return true
+}
+
+// RaiseCheck raises the Check Dictionary bound for u.
+func (t *topK) RaiseCheck(u, bound int32) {
+	t.check[u] = max(t.check[u], bound)
+}
+
+// merge returns the best k of node v's entries across the workers' lists
+// as an exact-size list, nil when there are none. cursors is scratch with
+// one slot per worker.
+func merge(parts []topK, v, k int, cursors []int) []rank.Entry {
+	total := 0
+	for w := range parts {
+		total += len(parts[w].lists[v])
+		cursors[w] = 0
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]rank.Entry, min(total, k))
+	for i := range out {
+		best := -1
+		for w := range parts {
+			list := parts[w].lists[v]
+			if c := cursors[w]; c < len(list) && (best < 0 || compareEntries(list[c], out[i]) < 0) {
+				best, out[i] = w, list[c]
 			}
 		}
-		for u, c := range part.check {
-			out.RaiseCheck(int32(u), c)
-		}
+		cursors[best]++
 	}
-	return out, nil
+	return out
+}
+
+// compareEntries orders entries by (rank, node), the order of every list.
+func compareEntries(a, b rank.Entry) int {
+	return cmp.Or(cmp.Compare(a.Rank, b.Rank), cmp.Compare(a.Node, b.Node))
 }
 
 // clampWorkers resolves a requested worker count against the hub count:
@@ -67,33 +125,4 @@ func clampWorkers(workers, hubs int) int {
 		workers = 1
 	}
 	return workers
-}
-
-// forEachHub invokes fn(worker, search, hub) for every hub across workers
-// goroutines (already clamped by clampWorkers), one private sssp.Search
-// per worker; workers <= 1 runs inline with no goroutine. Hubs are dealt
-// round-robin, so worker w sees hubs w, w+workers, ... — fn must be safe
-// for concurrent invocation across different workers (BuildSharded streams
-// all workers into one shared ShardedIndex; BuildParallel gives each
-// worker its own partial via the worker id).
-func forEachHub(g *graph.Graph, hubs []int32, workers int, fn func(w int, s *sssp.Search, h int32)) {
-	if workers <= 1 {
-		s := sssp.New(g)
-		for _, h := range hubs {
-			fn(0, s, h)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := sssp.New(g)
-			for i := w; i < len(hubs); i += workers {
-				fn(w, s, hubs[i])
-			}
-		}(w)
-	}
-	wg.Wait()
 }

@@ -76,3 +76,17 @@ func TestBuildParallelDefaultWorkers(t *testing.T) {
 		t.Errorf("entries %d vs %d", ix.Entries(), want.Entries())
 	}
 }
+
+// BenchmarkBuildSharded times one index build at a fixed size: a
+// 3000-node dblp-like graph, 300 degree hubs, M = 300 and K = 100 (the
+// paper's 10% defaults), on GOMAXPROCS workers.
+func BenchmarkBuildSharded(b *testing.B) {
+	g := gen.DBLPLike(gen.DBLPLikeParams{Nodes: 3000, AttachPerNode: 7, ExtraCollabFactor: 0.5, Seed: 1})
+	params := BuildParams{Hubs: hub.Select(g, hub.DegreeFirst, 300, hub.Options{Seed: 1}), M: 300, K: 100}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := BuildSharded(g, params, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

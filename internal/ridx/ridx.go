@@ -8,6 +8,11 @@
 // every rank refinement performed by the indexed engine feeds its settled
 // nodes back into both dictionaries, so the index keeps getting better.
 //
+// Build runs the hub searches one after another through Offer.
+// BuildParallel and BuildSharded run them on worker goroutines, each into
+// private per-node top-K lists, and merge the lists per node in parallel;
+// their dictionaries are identical to Build's.
+//
 // # Implementations and concurrency
 //
 // Index is an interface over two implementations sharing one on-disk
@@ -38,10 +43,13 @@
 package ridx
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"rkranks/internal/graph"
 	"rkranks/internal/rank"
@@ -181,10 +189,16 @@ func (p BuildParams) eligibleHubs() []int32 {
 	return out
 }
 
+// sink receives a hub search's results: a SerialIndex in Build, a
+// worker's private lists in BuildParallel.
+type sink interface {
+	Offer(v, u, r int32) bool
+	RaiseCheck(u, bound int32)
+}
+
 // addHub runs the M-step ranked SSSP from hub and feeds the results into
-// ix. It works against the Index interface so serial builds, parallel
-// merge builds, and direct-to-sharded builds share one definition.
-func addHub(ix Index, s *sssp.Search, hub int32, m int, counted []bool) {
+// ix, so the serial and the parallel builders share one definition.
+func addHub(ix sink, s *sssp.Search, hub int32, m int, counted []bool) {
 	s.Reset(hub)
 	strictBelow := 0
 	settledCounted := 0
@@ -400,28 +414,13 @@ func (ix *SerialIndex) Sharded() *ShardedIndex {
 
 const indexMagic = "RKIX1\n"
 
-// readInt32s reads n little-endian int32 values, growing the buffer chunk
-// by chunk so untrusted counts fail with a read error rather than a huge
-// allocation.
-func readInt32s(r io.Reader, n int) ([]int32, error) {
-	const chunkElems = 1 << 16
-	out := make([]int32, 0, minInt(n, chunkElems))
-	for len(out) < n {
-		c := minInt(n-len(out), chunkElems)
-		out = append(out, make([]int32, c)...)
-		if err := binary.Read(r, binary.LittleEndian, out[len(out)-c:]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
+// ErrFormat is wrapped by every error Read and ReadSharded return for
+// input that is not a well-formed index.
+var ErrFormat = errors.New("ridx: malformed index")
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
+// readChunk bounds how many bytes one read step allocates while a count
+// from an untrusted header is still unconfirmed by the input.
+const readChunk = 1 << 16
 
 // Write serializes the index.
 func (ix *SerialIndex) Write(w io.Writer) error {
@@ -430,92 +429,162 @@ func (ix *SerialIndex) Write(w io.Writer) error {
 
 // writeIndex emits the shared on-disk format from raw dictionary state;
 // both implementations funnel through it (the sharded index passes a
-// consistent snapshot).
+// consistent snapshot). The format is the magic, a header of four uint64
+// (K, nodes, hubs, entries), the hubs and Check bounds as int32, then per
+// node a uint32 length and that many (node, rank) int32 pairs, all
+// little-endian.
 func writeIndex(w io.Writer, maxK int, hubs, check []int32, rrd [][]rank.Entry, entries int64) error {
-	if _, err := io.WriteString(w, indexMagic); err != nil {
-		return err
+	bw := bufio.NewWriter(w)
+	// A bufio.Writer's first error sticks: Flush reports it, so the
+	// writes below need no checks of their own.
+	var buf [8]byte
+	put := func(x uint64, size int) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		bw.Write(buf[:size])
 	}
-	hdr := []uint64{uint64(maxK), uint64(len(check)), uint64(len(hubs)), uint64(entries)}
-	for _, h := range hdr {
-		if err := binary.Write(w, binary.LittleEndian, h); err != nil {
-			return err
-		}
+	bw.WriteString(indexMagic)
+	for _, h := range []uint64{uint64(maxK), uint64(len(check)), uint64(len(hubs)), uint64(entries)} {
+		put(h, 8)
 	}
-	if err := binary.Write(w, binary.LittleEndian, hubs); err != nil {
-		return err
+	for _, h := range hubs {
+		put(uint64(uint32(h)), 4)
 	}
-	if err := binary.Write(w, binary.LittleEndian, check); err != nil {
-		return err
+	for _, c := range check {
+		put(uint64(uint32(c)), 4)
 	}
 	for _, l := range rrd {
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(l))); err != nil {
-			return err
-		}
+		put(uint64(len(l)), 4)
 		for _, e := range l {
-			if err := binary.Write(w, binary.LittleEndian, [2]int32{e.Node, e.Rank}); err != nil {
-				return err
-			}
+			put(uint64(uint32(e.Node)), 4)
+			put(uint64(uint32(e.Rank)), 4)
 		}
 	}
-	return nil
+	return bw.Flush()
 }
 
 // Read deserializes an index written by Write (either implementation; the
 // on-disk format is shared). Use ReadSharded, or Sharded on the result, to
 // obtain a concurrency-safe index instead.
+//
+// Input that is not a well-formed index fails with an error wrapping
+// ErrFormat: a truncated file, a header out of range, a hub or entry node
+// outside [0, n), a rank below 1, a list longer than K, out of (rank,
+// node) order or repeating a node, or an entry count that disagrees with
+// the lists. Allocation grows with the bytes actually read, never with
+// the counts a header claims.
 func Read(r io.Reader) (*SerialIndex, error) {
-	magic := make([]byte, len(indexMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, err
+	d := &decoder{r: bufio.NewReader(r)}
+	hdr, err := d.next(len(indexMagic) + 4*8)
+	if err != nil {
+		return nil, readErr("header", err)
 	}
-	if string(magic) != indexMagic {
-		return nil, fmt.Errorf("ridx: bad magic %q", magic)
+	if magic := hdr[:len(indexMagic)]; string(magic) != indexMagic {
+		return nil, fmt.Errorf("ridx: bad magic %q: %w", magic, ErrFormat)
 	}
-	var hdr [4]uint64
-	for i := range hdr {
-		if err := binary.Read(r, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, err
+	field := func(i int) uint64 { return binary.LittleEndian.Uint64(hdr[len(indexMagic)+8*i:]) }
+	maxK, n, nhubs, entries := field(0), field(1), field(2), field(3)
+	if maxK < 1 || maxK > math.MaxInt32 || n > math.MaxInt32 || nhubs > n {
+		return nil, fmt.Errorf("ridx: corrupt header: K=%d n=%d hubs=%d: %w", maxK, n, nhubs, ErrFormat)
+	}
+	hubs, err := d.int32s(int(nhubs))
+	if err != nil {
+		return nil, readErr("hubs", err)
+	}
+	for _, h := range hubs {
+		if h < 0 || uint64(h) >= n {
+			return nil, fmt.Errorf("ridx: hub %d out of range [0,%d): %w", h, n, ErrFormat)
 		}
 	}
-	// Header fields are untrusted: bound them before allocating.
-	maxK, n, nhubs := hdr[0], hdr[1], hdr[2]
-	if maxK < 1 || maxK > math.MaxInt32 || n > math.MaxInt32 || nhubs > n {
-		return nil, fmt.Errorf("ridx: corrupt header: K=%d n=%d hubs=%d", maxK, n, nhubs)
-	}
-	// Read the variable-length payloads before allocating the O(n) rrd
-	// table, so a corrupted n fails on a short read instead of a giant
-	// allocation (the chunked reader grows with actual file content).
-	hubs, err := readInt32s(r, int(nhubs))
+	// The O(n) tables below are allocated only once the n Check bounds
+	// have arrived.
+	check, err := d.int32s(int(n))
 	if err != nil {
-		return nil, err
-	}
-	check, err := readInt32s(r, int(n))
-	if err != nil {
-		return nil, err
+		return nil, readErr("check bounds", err)
 	}
 	ix := &SerialIndex{maxK: int(maxK), hubs: hubs, check: check, rrd: make([][]rank.Entry, n)}
+	seen := make([]int32, n) // seen[u] == v+1: u is already in v's list
+	var total uint64
 	for v := range ix.rrd {
-		var ln uint32
-		if err := binary.Read(r, binary.LittleEndian, &ln); err != nil {
-			return nil, err
+		b, err := d.next(4)
+		if err != nil {
+			return nil, readErr("list length", err)
 		}
-		if int(ln) > ix.maxK {
-			return nil, fmt.Errorf("ridx: list for %d longer than K", v)
+		ln := binary.LittleEndian.Uint32(b)
+		if uint64(ln) > maxK {
+			return nil, fmt.Errorf("ridx: list for %d has %d entries, K=%d: %w", v, ln, maxK, ErrFormat)
 		}
 		if ln == 0 {
 			continue
 		}
+		if b, err = d.next(8 * int(ln)); err != nil {
+			return nil, readErr("list", err)
+		}
 		list := make([]rank.Entry, ln)
 		for i := range list {
-			var pair [2]int32
-			if err := binary.Read(r, binary.LittleEndian, &pair); err != nil {
-				return nil, err
+			e := rank.Entry{Node: int32(binary.LittleEndian.Uint32(b[8*i:])), Rank: int32(binary.LittleEndian.Uint32(b[8*i+4:]))}
+			switch {
+			case e.Node < 0 || uint64(e.Node) >= n:
+				return nil, fmt.Errorf("ridx: list for %d holds node %d out of range: %w", v, e.Node, ErrFormat)
+			case e.Rank < 1:
+				return nil, fmt.Errorf("ridx: list for %d holds rank %d: %w", v, e.Rank, ErrFormat)
+			case i > 0 && compareEntries(list[i-1], e) >= 0:
+				return nil, fmt.Errorf("ridx: list for %d is not ascending by (rank, node): %w", v, ErrFormat)
+			case seen[e.Node] == int32(v)+1:
+				return nil, fmt.Errorf("ridx: list for %d repeats node %d: %w", v, e.Node, ErrFormat)
 			}
-			list[i] = rank.Entry{Node: pair[0], Rank: pair[1]}
+			seen[e.Node] = int32(v) + 1
+			list[i] = e
 		}
 		ix.rrd[v] = list
+		total += uint64(ln)
+	}
+	if total != entries {
+		return nil, fmt.Errorf("ridx: header claims %d entries, lists hold %d: %w", entries, total, ErrFormat)
 	}
 	return ix, nil
+}
+
+// decoder reads the sections of an encoded index through one buffer.
+type decoder struct {
+	r   io.Reader
+	buf []byte
+}
+
+// next returns the next n bytes of input, valid until the following call.
+// The buffer grows chunk by chunk as the bytes arrive, so a corrupt count
+// fails at the end of the input instead of allocating up front.
+func (d *decoder) next(n int) ([]byte, error) {
+	d.buf = d.buf[:0]
+	for len(d.buf) < n {
+		c := min(n-len(d.buf), readChunk)
+		d.buf = slices.Grow(d.buf, c)[:len(d.buf)+c]
+		if _, err := io.ReadFull(d.r, d.buf[len(d.buf)-c:]); err != nil {
+			return nil, err
+		}
+	}
+	return d.buf, nil
+}
+
+// int32s reads n little-endian int32 values.
+func (d *decoder) int32s(n int) ([]int32, error) {
+	b, err := d.next(4 * n)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return out, nil
+}
+
+// readErr reports a failed read; running out of input means the file is
+// truncated, which is an ErrFormat.
+func readErr(what string, err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return fmt.Errorf("ridx: reading %s: %w (%w)", what, io.ErrUnexpectedEOF, ErrFormat)
+	}
+	return fmt.Errorf("ridx: reading %s: %w", what, err)
 }
 
 // ReadSharded deserializes an index written by Write into a ShardedIndex

@@ -7,7 +7,6 @@ import (
 
 	"rkranks/internal/graph"
 	"rkranks/internal/rank"
-	"rkranks/internal/sssp"
 )
 
 // stripeCount is the number of lock stripes of a ShardedIndex. Nodes map
@@ -64,21 +63,14 @@ func newSharded(n, maxK int) *ShardedIndex {
 }
 
 // BuildSharded precomputes a concurrency-safe index with worker goroutines
-// (workers <= 0 uses GOMAXPROCS). Unlike BuildParallel, workers feed one
-// shared sharded index directly instead of merging private partials — the
-// stripes absorb the contention, and commuting updates make the result
-// identical to a serial Build regardless of scheduling.
+// (workers <= 0 uses GOMAXPROCS): BuildParallel's index, handed to Sharded.
+// Its dictionaries are identical to a serial Build's.
 func BuildSharded(g *graph.Graph, p BuildParams, workers int) (*ShardedIndex, error) {
-	if err := checkParams(p); err != nil {
+	ix, err := BuildParallel(g, p, workers)
+	if err != nil {
 		return nil, err
 	}
-	hubs := p.eligibleHubs()
-	ix := newSharded(g.N(), p.K)
-	ix.hubs = hubs
-	forEachHub(g, hubs, clampWorkers(workers, len(hubs)), func(_ int, s *sssp.Search, h int32) {
-		addHub(ix, s, h, p.M, p.Counted)
-	})
-	return ix, nil
+	return ix.Sharded(), nil
 }
 
 // stripe returns the lock guarding node v's entry list.

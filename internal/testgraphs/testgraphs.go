@@ -82,6 +82,27 @@ func Star(weights []float64) *graph.Graph {
 	return b.Finalize()
 }
 
+// TiedGrid returns an undirected rows x cols grid whose edge weights
+// cycle through 0, 1 and 2: zero-weight edges and many equal-distance
+// ties, the inputs on which settle order and tie-breaking decide what a
+// builder produces.
+func TiedGrid(rows, cols int) *graph.Graph {
+	b := graph.NewBuilder(false)
+	b.EnsureNodes(rows * cols)
+	id := func(r, c int) int32 { return int32(r*cols + c) }
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if c+1 < cols {
+				b.MustAddEdge(id(r, c), id(r, c+1), float64((r+2*c)%3))
+			}
+			if r+1 < rows {
+				b.MustAddEdge(id(r, c), id(r+1, c), float64((2*r+c)%3))
+			}
+		}
+	}
+	return b.Finalize()
+}
+
 // Cycle returns a directed cycle 0 -> 1 -> ... -> n-1 -> 0 with unit
 // weights.
 func Cycle(n int) *graph.Graph {

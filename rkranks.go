@@ -747,8 +747,8 @@ func BuildIndex(g *Graph, p IndexParams) (Index, error) {
 // NewConcurrentIndex precomputes the same index as BuildIndex into the
 // concurrency-safe lock-striped implementation: any number of engines may
 // read and refine it at once, so it is the index to pass to
-// NewPoolWithIndex. The build itself also runs hub searches on all cores,
-// writing the shared dictionaries directly.
+// NewPoolWithIndex. The build runs the same parallel hub searches as
+// BuildIndex.
 func NewConcurrentIndex(g *Graph, p IndexParams) (*ConcurrentIndex, error) {
 	bp, err := buildParams(g, p)
 	if err != nil {

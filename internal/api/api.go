@@ -95,6 +95,13 @@ type QueryRequest struct {
 	// TimeoutMS is the per-request deadline in milliseconds; 0 uses the
 	// server default, values above the server cap are clamped.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+	// MergedK is set by a cluster coordinator on its shard calls: the k
+	// of the client's query the shard answers are merged into. The shard
+	// then prunes with the whole cluster's bounds and may withhold
+	// candidates that cannot reach the merged top k (core.WithMergedK).
+	// 0 means none; otherwise it must be at least K and, for indexed
+	// queries, at most the index K.
+	MergedK int `json:"merged_k,omitempty"`
 }
 
 // BatchRequest is the /v1/batch request document.
@@ -103,6 +110,8 @@ type BatchRequest struct {
 	Queries   []int32   `json:"queries"`
 	K         int       `json:"k"`
 	TimeoutMS int64     `json:"timeout_ms,omitempty"`
+	// MergedK applies to every query of the batch (see QueryRequest).
+	MergedK int `json:"merged_k,omitempty"`
 }
 
 // Entry is one (node, rank) result pair on the wire.

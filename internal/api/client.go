@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"rkranks/internal/core"
 	"rkranks/internal/graph"
 	"rkranks/internal/obs"
 )
@@ -101,9 +102,10 @@ func (c *Client) Stats(ctx context.Context) (*Snapshot, error) {
 }
 
 // Query posts one reverse k-ranks query. algorithm may be empty (server
-// default); timeout 0 uses the server default deadline.
+// default); timeout 0 uses the server default deadline. A merged k on ctx
+// (core.WithMergedK) rides along as the request's merged_k.
 func (c *Client) Query(ctx context.Context, algorithm Algorithm, q int32, k int, timeout time.Duration) (*QueryResponse, error) {
-	body := QueryRequest{Algorithm: algorithm, Q: q, K: k, TimeoutMS: timeout.Milliseconds()}
+	body := QueryRequest{Algorithm: algorithm, Q: q, K: k, TimeoutMS: timeout.Milliseconds(), MergedK: core.MergedK(ctx)}
 	var resp QueryResponse
 	if err := c.post(ctx, "/v1/query", body, &resp); err != nil {
 		return nil, err
@@ -111,9 +113,10 @@ func (c *Client) Query(ctx context.Context, algorithm Algorithm, q int32, k int,
 	return &resp, nil
 }
 
-// Batch posts a multi-query request backed by Pool.QueryMany.
+// Batch posts a multi-query request backed by Pool.QueryMany. Like
+// Query, it sends the merged k ctx carries.
 func (c *Client) Batch(ctx context.Context, algorithm Algorithm, queries []int32, k int, timeout time.Duration) (*BatchResponse, error) {
-	body := BatchRequest{Algorithm: algorithm, Queries: queries, K: k, TimeoutMS: timeout.Milliseconds()}
+	body := BatchRequest{Algorithm: algorithm, Queries: queries, K: k, TimeoutMS: timeout.Milliseconds(), MergedK: core.MergedK(ctx)}
 	var resp BatchResponse
 	if err := c.post(ctx, "/v1/batch", body, &resp); err != nil {
 		return nil, err

@@ -31,6 +31,8 @@
 package cache
 
 import (
+	"context"
+	"math"
 	"sync"
 
 	"rkranks/internal/core"
@@ -64,11 +66,22 @@ type Config struct {
 // key identifies one cacheable response. Generation is the backend's
 // answer-set generation at lookup time: entries written under an older
 // generation can never be returned again (their key no longer occurs).
+// mk is the merged k of a cluster shard call (core.WithMergedK), 0 for
+// none: a merged-k answer may be shorter than the canonical one, so the
+// two must never stand in for each other. It fills q's padding word.
 type key struct {
 	algo core.Algorithm
 	q    int32
+	mk   int32
 	k    int
 	gen  uint64
+}
+
+// mergedK reads ctx's merged k for a key, saturated to int32: every
+// merged k at or above the node count answers alike (node ids are int32),
+// and every negative one is refused alike.
+func mergedK(ctx context.Context) int32 {
+	return int32(max(math.MinInt32, min(core.MergedK(ctx), math.MaxInt32)))
 }
 
 // entry is one cached result on its shard's LRU list.

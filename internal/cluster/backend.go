@@ -19,14 +19,19 @@ import (
 // canonical top-k among the shard's candidates, with ranks counted over
 // the whole graph. Implementations must be safe for concurrent use — the
 // coordinator scatters to every shard in parallel and may overlap queries.
+// Every implementation passes ctx down to the engines, since the merged k
+// a coordinator's shard calls carry rides it (core.WithMergedK).
 type ShardBackend interface {
-	// Query returns the shard-local canonical top-k. A result shorter
-	// than k means the shard's candidate class is exhausted (the rank
-	// floor the coordinator derives is then vacuous; see core.Floor).
+	// Query returns the shard-local top-k. Without a merged k on ctx it
+	// is the canonical top-k, and a result shorter than k means the
+	// shard's candidate class is exhausted. With a merged k, a full
+	// result withholds only candidates that order strictly after its
+	// last entry or cannot reach the merged top k, and a short one only
+	// candidates that cannot reach the merged top k; the coordinator
+	// then treats a short result as settled (see core.Floor).
 	Query(ctx context.Context, a core.Algorithm, q int32, k int) (*core.Result, error)
 	// QueryBatch answers many queries in ONE round trip — one result per
-	// query, in input order, each with the same shard-local canonical
-	// semantics as Query. The coordinator's batch scatter leans on it to
+	// query, in input order, each with the same semantics as Query. The coordinator's batch scatter leans on it to
 	// spend one RPC per shard per /v1/batch instead of one per query.
 	QueryBatch(ctx context.Context, a core.Algorithm, queries []int32, k int) ([]*core.Result, error)
 	// Size hints how many queries the backend can serve concurrently
@@ -50,15 +55,17 @@ type LocalShard struct {
 // NewLocalShard builds the shard'th of shards in-process backends over g:
 // an engine pool whose candidate class is the partitioner's mask for that
 // shard, intersected with opts.Candidates when the caller is already
-// bichromatic. ix, when non-nil, must be a concurrency-safe index covering
-// g; passing the SAME index to every local shard is both safe and
-// desirable — all shards then feed one set of dictionaries, exactly like a
-// single-node pool.
+// bichromatic; opts.Candidates itself becomes the cluster's class
+// (core.Options.ClusterCandidates) that merged-k queries bound. ix, when
+// non-nil, must be a concurrency-safe index covering g; passing the SAME
+// index to every local shard is both safe and desirable — all shards then
+// feed one set of dictionaries, exactly like a single-node pool.
 func NewLocalShard(g *graph.Graph, opts core.Options, part Partitioner, shards, shard, poolSize int, ix ridx.Index) (*LocalShard, error) {
 	mask, err := ShardMask(g, part, shards, shard, opts.Candidates)
 	if err != nil {
 		return nil, err
 	}
+	opts.ClusterCandidates = opts.Candidates
 	opts.Candidates = mask
 	var pool *core.Pool
 	if ix != nil {
@@ -295,11 +302,15 @@ type LiveShard struct {
 // the per-shard live configuration; its CandidateFunc is overwritten with
 // the partitioner's mask (cfg.Options.Candidates, when set, restricts it,
 // bichromatic-style, and is extended with true for post-boot vertices).
+// cfg.Options.Candidates also becomes the cluster's class
+// (core.Options.ClusterCandidates), which the store extends the same way
+// on every rebuild.
 func NewLiveShard(g *graph.Graph, cfg live.Config, part Partitioner, shards, shard int) (*LiveShard, error) {
 	if part == nil {
 		part = Modulo{}
 	}
 	restrict := cfg.Options.Candidates
+	cfg.Options.ClusterCandidates = restrict
 	cfg.CandidateFunc = func(g2 *graph.Graph) ([]bool, error) {
 		return ShardMask(g2, part, shards, shard, growMask(restrict, g2.N()))
 	}

@@ -81,7 +81,8 @@ func (c *Coordinator) batchScatter(ctx context.Context, a core.Algorithm, querie
 		round1[shard] = all
 	}
 	k0 := c.firstRoundK(k, P)
-	c.batchRound(ctx, a, queries, k0, round1, st, obs.StageScatterRound1)
+	sctx := c.shardContext(ctx, k)
+	c.batchRound(sctx, a, queries, k0, round1, st, obs.StageScatterRound1)
 	if err := c.roundErrorBatch(st); err != nil {
 		return nil, err
 	}
@@ -105,7 +106,7 @@ func (c *Coordinator) batchScatter(ctx context.Context, a core.Algorithm, querie
 			escalations += len(escalate)
 		}
 		if len(round2) > 0 {
-			c.batchRound(ctx, a, queries, k, round2, st, obs.StageScatterRound2)
+			c.batchRound(sctx, a, queries, k, round2, st, obs.StageScatterRound2)
 			if err := c.roundErrorBatch(st); err != nil {
 				return nil, err
 			}

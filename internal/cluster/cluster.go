@@ -7,30 +7,49 @@
 //
 // Rank(p, q) is a global shortest-path property — it cannot be computed
 // from a subgraph — so the graph itself is not partitioned. What IS
-// partitioned is the candidate class: shard i answers queries for its own
-// vertices only (an Options.Candidates mask), which divides the dominant
-// query cost, the per-candidate rank refinements, across shards. Every
-// shard still holds the whole graph, like the partitioned hub labelings
-// of ReHub partition label work rather than topology.
+// partitioned is the candidate class: shard i returns only its own
+// vertices (an Options.Candidates mask), out of the cluster's class
+// (Options.ClusterCandidates). Every shard still holds the whole graph,
+// like the partitioned hub labelings of ReHub partition label work
+// rather than topology.
+//
+// # What each shard does
+//
+// Every shard call carries the client's k as the merged k
+// (core.WithMergedK; merged_k on the wire). With it a shard walks the
+// SDS-tree the way one node would: a candidate of another shard is a
+// foreign candidate that the shard bounds like its own, and refines when
+// no bound settles it, so that its rank cuts the subtree below it (the
+// paper's Lemma 1). Every exact rank the shard learns also enters a
+// shadow heap of the merged k best, whose k-th rank joins the pruning
+// threshold. Each shard therefore does about one node's work for every
+// query rather than a share of it: sharding buys no per-query speed-up,
+// and the merged k keeps it from costing the many-fold slowdown of
+// shards that never bound each other's candidates. A shard still returns
+// only its own candidates, minus any that provably cannot reach the
+// merged top k.
 //
 // # Scatter-gather with rank-floor pruning
 //
 // The coordinator fans a query out to all P shards at a reduced result
-// size k0 ~ k/P + slack. Because results are canonical (the minimum k0
-// entries by (rank, node id) — see core.Result), a full shard answer
-// certifies a rank floor: every candidate the shard withheld orders
-// strictly after its last returned entry. After merging round one, a
-// shard whose floor clears the merged k-th entry can be short-circuited —
-// none of its remaining candidates can enter the global top-k — and only
-// the rest are re-fetched at full k. Boundary ties are handled exactly:
-// floors and cutoffs compare as (rank, node id) pairs, so a withheld
-// candidate that would tie-break into the result always forces the
-// escalation. Two rounds always suffice: a full-k shard answer's floor
-// clears any merged cutoff by construction.
+// size k0 ~ k/P + slack. A shard answer certifies what it withheld (see
+// core.Result.Floor): a full answer withholds only candidates that order
+// strictly after its last entry or cannot reach the merged top k, and a
+// short one only candidates that cannot reach the merged top k. After
+// merging round one, a shard whose answer is short, or whose floor clears
+// the merged k-th entry, is short-circuited — none of its remaining
+// candidates can enter the global top-k — and only the rest are
+// re-fetched at full k. Boundary ties are handled exactly: floors and
+// cutoffs compare as (rank, node id) pairs, so a withheld candidate that
+// would tie-break into the result always forces the escalation. Two
+// rounds always suffice: a full-k shard answer's floor clears any merged
+// cutoff by construction.
 //
 // The merged result is therefore byte-identical to a single-node
-// Pool.Query over the unsharded candidate class, for all four algorithms,
+// Pool.Query over the unsharded candidate class, for every algorithm,
 // while transferring far fewer than P*k entries per query.
+// Config.NaiveGather, the baseline, sends one full-k round with no merged
+// k, so each shard returns its canonical top k.
 //
 // # Degradation
 //
@@ -433,6 +452,7 @@ func (c *Coordinator) queryOnce(ctx context.Context, a core.Algorithm, q int32, 
 
 	st := &gatherState{results: make([]*core.Result, P), partial: len(skipped) > 0}
 	k0 := c.firstRoundK(k, P)
+	ctx = c.shardContext(ctx, k)
 	// r1 is the round's parent span; summary attributes land on it after
 	// the merge below (the *Span stays valid — it lives in the trace).
 	r1 := c.gatherRound(ctx, a, q, k0, targets, st, obs.StageScatterRound1)
@@ -529,6 +549,21 @@ func (c *Coordinator) availableShards() (targets, skipped []int) {
 		}
 	}
 	return targets, skipped
+}
+
+// shardContext is the context of every shard call of a query for k: it
+// carries k as the merged k (core.WithMergedK), in both rounds, so each
+// shard prunes with the bounds of the whole cluster and returns only
+// what can reach the merged top k. NaiveGather's calls carry none: their
+// shards return their canonical top k, the baseline the mode measures.
+func (c *Coordinator) shardContext(ctx context.Context, k int) context.Context {
+	if c.cfg.NaiveGather {
+		k = 0
+	}
+	if core.MergedK(ctx) == k {
+		return ctx
+	}
+	return core.WithMergedK(ctx, k)
 }
 
 // firstRoundK sizes the first scatter round.

@@ -26,8 +26,9 @@ func mergeTopK(results []*core.Result, k int) []rank.Entry {
 // unsettledShards decides, after a first gather round, which shards the
 // merged prefix cannot yet certify: a shard is settled when its rank
 // floor proves every candidate it withheld orders strictly after the
-// merged k-th entry (or when it withheld nothing). Everything else must
-// be re-fetched at full k. The certification is exact under the canonical
+// merged k-th entry or cannot reach the merged top k, or when its answer
+// is short (nothing it withheld can reach the merged top k; see
+// core.Result.Floor). Everything else must be re-fetched at full k. The certification is exact under the canonical
 // result semantics — including boundary ties, which compare by (rank,
 // node id) pair, never by rank alone.
 //

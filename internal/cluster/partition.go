@@ -10,8 +10,8 @@ import (
 // A Partitioner splits a graph's vertex set into disjoint shards. Shards
 // partition the CANDIDATE class only: every shard still holds the whole
 // graph (ranks are global shortest-path properties and cannot be computed
-// from a subgraph), but answers queries for its own vertices alone, which
-// divides the dominant query cost — the rank refinements — across shards.
+// from a subgraph), and returns its own vertices alone (see the package
+// docs for the work each shard does per query).
 type Partitioner interface {
 	// Name is the canonical partitioner name ("modulo", "degree").
 	Name() string

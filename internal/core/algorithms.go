@@ -47,6 +47,14 @@ func (e *Engine) naive(q int32, k int) *Result {
 // returns the canonical minimum k entries by (rank, node id), independent
 // of traversal and pruning order — the invariant the cluster coordinator's
 // shard merge relies on.
+//
+// A query with a merged k (WithMergedK) on an engine with a candidate mask
+// also decides every foreign candidate — a member of the cluster's class
+// outside the mask — as if it were its own: the same bounds, and a
+// refinement when none settles it. The rank it learns cuts the subtree
+// below it (Lemma 1) and enters the shadow heap of the merged k best
+// ranks the engine has seen, whose k-th rank joins the threshold (see
+// kRank). A foreign candidate never enters the result heap.
 func (e *Engine) sdsTree(a Algorithm, q int32, k int) *Result {
 	e.begin(q, k, a)
 	if e.indexing {
@@ -59,11 +67,12 @@ func (e *Engine) sdsTree(a Algorithm, q int32, k int) *Result {
 			break
 		}
 		e.stats.TreeSettled++
+		e.noteZeroDepth(v, d)
 		if v == q {
 			e.tree.Expand(v, d)
 			continue
 		}
-		if !e.candidate(v) {
+		if !e.candidate(v) && !e.foreign(v) {
 			e.passThrough(v, d)
 			continue
 		}
@@ -97,10 +106,15 @@ func (e *Engine) prune(v int32, d float64) bool {
 			return true
 		}
 	}
-	lb := e.lowerBound(v, check)
-	kRank := e.heap.kRank()
+	t := e.lowerBound(v)
+	lb := max(t, check)
+	kRank := e.kRank()
 	if lb > kRank {
-		e.skipCandidate(v, d, lb)
+		sub := lb
+		if check > t && (!e.counted(v) || d == 0) {
+			sub = max(t, e.evictionCap(check))
+		}
+		e.skipCandidate(v, d, lb, sub)
 		return true
 	}
 	if !e.labeling {
@@ -114,7 +128,7 @@ func (e *Engine) prune(v int32, d float64) bool {
 		// lists.
 		if lbl := e.labelBound(v, d, kRank); lbl > kRank {
 			e.stats.LabelPruned++
-			e.skipCandidate(v, d, lbl)
+			e.skipCandidate(v, d, lbl, lbl)
 			return true
 		}
 	}
@@ -122,7 +136,32 @@ func (e *Engine) prune(v int32, d float64) bool {
 	return false
 }
 
-// skipCandidate records a candidate disqualified by its lower bound. Its
+// evictionCap bounds what Check(v) may hand to v's subtree. When Reverse(q)
+// is full, v's missing entry may have been evicted: v is then pruned by
+// the eviction argument (the list's entries all order before it), and
+// Check(v), which the search from v raised past q, is no bound on
+// Rank(v, q) at all. Rank(v, q) is still at least the rank of the list's
+// last entry, so min(Check(v), that rank) is a bound either way.
+//
+// The cap matters below an uncounted v or one at distance 0 from q: there
+// a descendant can tie v's rank and precede the evicting entries by node
+// id, so the uncapped Check would cut a true result. Below a counted v at
+// positive distance, v itself is strictly closer to every descendant than
+// q, which keeps descendants a rank behind v unless the descendant is
+// itself strictly closer to v than q. That last case can tie too and is
+// left open: randomized checks with k equal to the index K have not found
+// a failure, and capping every full list doubles the refinements.
+func (e *Engine) evictionCap(check int32) int32 {
+	rev := e.idx.Reverse(e.q)
+	if len(rev) < e.idx.MaxK() {
+		return check // nothing was ever evicted
+	}
+	return min(check, rev[len(rev)-1].Rank)
+}
+
+// skipCandidate records a candidate disqualified by its lower bound lb;
+// sub is the bound it certifies for v's subtree (lb itself unless the
+// Check Dictionary's eviction argument is involved; see evictionCap). The
 // subtree is usually pruned too (Theorem 1), except in bichromatic mode
 // where an uncounted node's descendants may rank one better than the node
 // itself (see descBound) and must still be explored. The recorded
@@ -131,25 +170,23 @@ func (e *Engine) prune(v int32, d float64) bool {
 // tie-inclusive (db <= kRank): a descendant tying the k-th rank could
 // still tie-break into the canonical result, so only a strictly worse
 // certified bound may cut the subtree.
-func (e *Engine) skipCandidate(v int32, d float64, lb int32) {
-	db := e.descBound(v, lb)
-	if pb := e.parentBound(v); pb > db {
-		db = pb
-	}
+func (e *Engine) skipCandidate(v int32, d float64, lb, sub int32) {
+	db := max(e.descBound(v, sub), e.parentBound(v))
 	e.setDescBound(v, db)
 	e.stats.PrunedByBound++
-	expand := db <= e.heap.kRank()
+	expand := db <= e.kRank()
 	if expand {
 		e.tree.Expand(v, d)
 	}
 	e.trace(v, d, TracePrunedByBound, lb, expand)
 }
 
-// seedFromIndex primes the result heap from the Reverse Rank Dictionary of
-// the query node before traversal starts (Algorithm 3, line 1).
+// seedFromIndex primes the result heap (and, for a merged-k query, the
+// shadow heap) from the Reverse Rank Dictionary of the query node before
+// traversal starts (Algorithm 3, line 1).
 func (e *Engine) seedFromIndex() {
 	for _, en := range e.idx.Reverse(e.q) {
-		if e.candidate(en.Node) && e.offer(en.Node, en.Rank) {
+		if (e.candidate(en.Node) || e.foreign(en.Node)) && e.offer(en.Node, en.Rank) {
 			e.stats.SeededFromIndex++
 			e.trace(en.Node, 0, TraceSeeded, en.Rank, false)
 		}
@@ -164,10 +201,8 @@ func (e *Engine) indexHit(v int32, d float64, r int32) {
 	e.stats.IndexHits++
 	db := e.descBound(v, r)
 	e.setDescBound(v, db)
-	if r <= e.heap.kRank() {
-		e.offer(v, r)
-	}
-	expand := db <= e.heap.kRank()
+	e.offer(v, r)
+	expand := db <= e.kRank()
 	if expand {
 		e.tree.Expand(v, d)
 	}
@@ -175,30 +210,64 @@ func (e *Engine) indexHit(v int32, d float64, r int32) {
 }
 
 // passThrough handles a dequeued node outside the candidate class V1
-// (bichromatic queries): it cannot be a result, but shortest paths of
-// candidates run through it. Its descendants are also descendants of its
-// parent, so the parent's descendant bound passes through unweakened
-// (no per-hop loss), and the subtree is pruned once that bound already
-// disqualifies everything below.
+// (bichromatic queries, or another shard's candidate without a merged k):
+// it cannot be a result, but shortest paths of candidates run through
+// it. Its descendants are also descendants of its parent, so the
+// parent's descendant bound passes through unweakened (no per-hop loss),
+// and the subtree is pruned once that bound already disqualifies
+// everything below.
 func (e *Engine) passThrough(v int32, d float64) {
 	pb := e.parentBound(v)
 	e.setDescBound(v, pb)
-	expand := pb <= e.heap.kRank()
+	expand := pb <= e.kRank()
 	if expand {
 		e.tree.Expand(v, d)
 	}
 	e.trace(v, d, TracePassThrough, pb, expand)
 }
 
-// lowerBound evaluates the Theorem-2 lower bound of a candidate about to be
-// refined, extended with the Check Dictionary bound for the indexed engine,
-// and attributes the win for the Table 11 analysis. Tie attribution order:
-// height, count, parent (check-dictionary wins are folded into the final
-// max without attribution, mirroring the paper's three-component table).
-func (e *Engine) lowerBound(v, check int32) int32 {
+// noteZeroDepth tracks, for the height bound, the depth of each popped
+// node's deepest ancestor-or-self at distance 0 from q. Nodes at distance
+// 0 pop first, so once a node besides q has popped there (zero-weight
+// arcs), every later pop copies its parent's value, which is set by then.
+// Graphs without such ties never touch the array.
+func (e *Engine) noteZeroDepth(v int32, d float64) {
+	if d == 0 {
+		if v == e.q {
+			return
+		}
+		if e.zdepth == nil {
+			e.zdepth = make([]int32, e.g.N())
+		}
+		if !e.zeroTied {
+			e.zeroTied = true
+			e.zdepth[e.q] = 0
+		}
+		e.zdepth[v] = e.tree.Depth(v)
+		return
+	}
+	if e.zeroTied {
+		e.zdepth[v] = e.zdepth[e.tree.Parent(v)]
+	}
+}
+
+// lowerBound evaluates the Theorem-2 lower bound of a candidate about to
+// be refined and attributes the win for the Table 11 analysis. Tie
+// attribution order: height, count, parent.
+//
+// The height component (Lemma 2) counts the path nodes strictly closer
+// to v than q: every node on v's SDS-tree path to q except those at
+// distance 0 from q, which are exactly as close as q. Those sit at the
+// top of the path, so the bound is v's depth minus the depth of its
+// deepest distance-0 ancestor (noteZeroDepth), which is 0 unless
+// zero-weight arcs leave q.
+func (e *Engine) lowerBound(v int32) int32 {
 	var height, count, parent int32
 	if e.bounds&BoundHeight != 0 {
 		height = e.tree.Depth(v)
+		if e.zeroTied {
+			height -= e.zdepth[e.tree.Parent(v)]
+		}
 	}
 	if e.bounds&BoundCount != 0 {
 		count = e.lcountOf(v)
@@ -214,15 +283,5 @@ func (e *Engine) lowerBound(v, check int32) int32 {
 	default:
 		e.stats.ParentWins++
 	}
-	lb := height
-	if count > lb {
-		lb = count
-	}
-	if parent > lb {
-		lb = parent
-	}
-	if check > lb {
-		lb = check
-	}
-	return lb
+	return max(height, count, parent)
 }

@@ -10,25 +10,41 @@ import (
 
 // TestSteadyStateAllocations: after warm-up, a query's allocations are a
 // small constant (result assembly only) regardless of how much of the
-// graph it touches — the epoch-reset workspaces must not reallocate.
+// graph it touches — the epoch-reset workspaces must not reallocate. A
+// cluster shard's query under a merged k (masked engine, shadow heap) is
+// held to the same budget.
 func TestSteadyStateAllocations(t *testing.T) {
 	g := gen.DBLPLike(gen.DBLPLikeParams{Nodes: 2000, AttachPerNode: 5, Seed: 5})
-	e := NewEngine(g, Options{})
-	// Warm up: grow the refinement scratch and heap to their high-water
-	// marks across a few representative queries.
-	for q := int32(0); q < 50; q += 5 {
-		if _, err := e.Query(Dynamic, q, 10); err != nil {
-			t.Fatal(err)
-		}
+	half := make([]bool, g.N())
+	for v := range half {
+		half[v] = v%2 == 0
 	}
-	const perQueryBudget = 2 // Result struct + sorted entries copy, nothing else
-	avg := testing.AllocsPerRun(20, func() {
-		if _, err := e.Query(Dynamic, 25, 10); err != nil {
-			t.Fatal(err)
+	shard := WithMergedK(context.Background(), 20)
+	for _, tc := range []struct {
+		name string
+		opts Options
+		ctx  context.Context
+	}{
+		{"single node", Options{}, context.Background()},
+		{"merged-k shard", Options{Candidates: half}, shard},
+	} {
+		e := NewEngine(g, tc.opts)
+		// Warm up: grow the refinement scratch and heaps to their
+		// high-water marks across a few representative queries.
+		for q := int32(0); q < 50; q += 5 {
+			if _, err := e.QueryContext(tc.ctx, Dynamic, q, 10); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if avg > perQueryBudget {
-		t.Errorf("steady-state allocations per query = %.1f, budget %d", avg, perQueryBudget)
+		const perQueryBudget = 2 // Result struct + sorted entries copy, nothing else
+		avg := testing.AllocsPerRun(20, func() {
+			if _, err := e.QueryContext(tc.ctx, Dynamic, 25, 10); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > perQueryBudget {
+			t.Errorf("%s: steady-state allocations per query = %.1f, budget %d", tc.name, avg, perQueryBudget)
+		}
 	}
 }
 

@@ -35,6 +35,7 @@ type Engine struct {
 	rf   *refiner     // refinement workspace (see refiner.go)
 
 	epoch   uint32
+	zdepth  []int32 // depth of the deepest distance-0 ancestor (lazily allocated; see noteZeroDepth)
 	lcount  []int32 // Lemma-4 visit counters
 	lstamp  []uint32
 	nrank   []int32 // recorded rank (or lower bound) of processed nodes
@@ -44,10 +45,12 @@ type Engine struct {
 	lbepoch uint32   // epoch for lbseen; bumped once per label scan
 	scratch []settleRec
 
-	heap  resultHeap
-	stats Stats
-	q     int32
-	k     int
+	heap   resultHeap
+	shadow resultHeap // best merged-k class ranks learned (merged-k queries only)
+	stats  Stats
+	q      int32
+	k      int
+	mk     int // the query's merged k, 0 for none (see WithMergedK)
 
 	// arena is the shared-traversal batch scratch, non-nil only between
 	// BeginBatch/EndBatch (see batchexec.go). batch retains the allocation
@@ -72,6 +75,8 @@ type Engine struct {
 	labeling bool // prune on hub-label bounds (HubLabel)
 	useLc    bool // maintain lcount during refinements
 	indexing bool // consult and feed the index (Indexed)
+	merged   bool // bound foreign candidates and keep the shadow heap
+	zeroTied bool // a node besides q sits at distance 0 from q
 }
 
 type settleRec struct {
@@ -85,6 +90,9 @@ func NewEngine(g *graph.Graph, opts Options) *Engine {
 	n := g.N()
 	if opts.Candidates != nil && len(opts.Candidates) != n {
 		panic(fmt.Sprintf("core: Candidates length %d != n %d", len(opts.Candidates), n))
+	}
+	if opts.ClusterCandidates != nil && len(opts.ClusterCandidates) != n {
+		panic(fmt.Sprintf("core: ClusterCandidates length %d != n %d", len(opts.ClusterCandidates), n))
 	}
 	if opts.Counted != nil && len(opts.Counted) != n {
 		panic(fmt.Sprintf("core: Counted length %d != n %d", len(opts.Counted), n))
@@ -140,6 +148,9 @@ func (e *Engine) Query(a Algorithm, q int32, k int) (*Result, error) {
 // canceled query leaves the engine (and any shared index) in a consistent
 // state — cancellation discards work, it never applies partial results —
 // so the engine is immediately reusable.
+//
+// A merged k on ctx (WithMergedK) lets a cluster shard prune as tightly
+// as one node would; see WithMergedK for what the result then certifies.
 func (e *Engine) QueryContext(ctx context.Context, a Algorithm, q int32, k int) (*Result, error) {
 	if err := validateRequest(a, k); err != nil {
 		return nil, err
@@ -147,12 +158,19 @@ func (e *Engine) QueryContext(ctx context.Context, a Algorithm, q int32, k int) 
 	if err := e.checkArgs(q); err != nil {
 		return nil, err
 	}
+	mk := MergedK(ctx)
+	if mk != 0 && mk < k {
+		return nil, fmt.Errorf("core: merged k=%d below k=%d: %w", mk, k, ErrInvalidK)
+	}
 	if a == Indexed {
 		if e.idx == nil {
 			return nil, fmt.Errorf("core: Indexed query requires SetIndex: %w", ErrIndexRequired)
 		}
 		if k > e.idx.MaxK() {
 			return nil, fmt.Errorf("core: k=%d exceeds index K=%d: %w", k, e.idx.MaxK(), ErrInvalidK)
+		}
+		if mk > e.idx.MaxK() {
+			return nil, fmt.Errorf("core: merged k=%d exceeds index K=%d: %w", mk, e.idx.MaxK(), ErrInvalidK)
 		}
 	}
 	if a == HubLabel && e.labels == nil {
@@ -179,6 +197,7 @@ func (e *Engine) QueryContext(ctx context.Context, a Algorithm, q int32, k int) 
 	}
 	sp := tr.Begin(stage)
 	var res *Result
+	e.mk = mk
 	if a == Naive {
 		res = e.naive(q, k)
 	} else {
@@ -228,7 +247,15 @@ func (e *Engine) begin(q int32, k int, a Algorithm) {
 	}
 	e.q = q
 	e.k = k
-	e.heap.reset(k)
+	n := e.g.N()
+	e.heap.reset(k, n)
+	// Naive refines every candidate anyway, and without a mask there are
+	// no foreign candidates: the merged k changes nothing there.
+	e.merged = e.mk > 0 && e.opts.Candidates != nil && a != Naive
+	if e.merged {
+		e.shadow.reset(e.mk, n)
+	}
+	e.zeroTied = false
 	e.stats = Stats{}
 	e.traceLog = nil
 	e.bounds = e.opts.effectiveBounds(e.g)
@@ -241,6 +268,26 @@ func (e *Engine) begin(q int32, k int, a Algorithm) {
 
 func (e *Engine) candidate(v int32) bool {
 	return e.opts.Candidates == nil || e.opts.Candidates[v]
+}
+
+// foreign reports whether v, which is not one of the engine's own
+// candidates, is another shard's candidate of a merged-k query: a member
+// of the cluster's class whose rank bounds its subtree and enters the
+// shadow heap, but never the result.
+func (e *Engine) foreign(v int32) bool {
+	return e.merged && (e.opts.ClusterCandidates == nil || e.opts.ClusterCandidates[v])
+}
+
+// kRank is the pruning threshold: the result heap's k-th rank, or the
+// shadow heap's merged-k-th rank when that is lower. A bound strictly
+// above it means the node can neither enter this engine's top k nor the
+// merged top k of the cluster.
+func (e *Engine) kRank() int32 {
+	t := e.heap.kRank()
+	if e.merged {
+		t = min(t, e.shadow.kRank())
+	}
+	return t
 }
 
 func (e *Engine) counted(v int32) bool {
@@ -310,15 +357,21 @@ func (e *Engine) bumpLcount(v int32) {
 	e.lcount[v]++
 }
 
-// offer adds an exact (node, rank) pair to the result heap, at most once
-// per node per query (the indexed engine can discover a node's rank both
-// from the seeded dictionary and from the traversal).
+// offer records an exact (node, rank) pair of a class member, at most
+// once per node per query (the indexed engine can discover a node's rank
+// both from the seeded dictionary and from the traversal): into the
+// shadow heap of a merged-k query, and into the result heap when node is
+// one of the engine's own candidates. It reports whether the result heap
+// kept the pair.
 func (e *Engine) offer(node, r int32) bool {
 	if e.ostamp[node] == e.epoch {
 		return false
 	}
 	e.ostamp[node] = e.epoch
-	return e.heap.offer(node, r)
+	if e.merged {
+		e.shadow.offer(node, r)
+	}
+	return e.candidate(node) && e.heap.offer(node, r)
 }
 
 // finish assembles the Result. In batch mode the Result and its entries
@@ -326,16 +379,27 @@ func (e *Engine) offer(node, r int32) bool {
 // of two per query — because results escape to the caller and must not
 // alias engine scratch.
 func (e *Engine) finish() *Result {
-	if a := e.arena; a != nil {
-		var entries []rank.Entry // nil when empty, like sorted()
-		if n := e.heap.len(); n > 0 {
-			entries = e.heap.sortedInto(a.entryBuf(n))
+	a := e.arena
+	var entries []rank.Entry // nil when empty, like sorted()
+	if a == nil {
+		entries = e.heap.sorted()
+	} else if n := e.heap.len(); n > 0 {
+		entries = e.heap.sortedInto(a.entryBuf(n))
+	}
+	if e.merged {
+		// Own entries ranked past the shadow heap's merged-k-th rank
+		// cannot reach the merged top k; withhold them too (WithMergedK).
+		s := e.shadow.kRank()
+		for len(entries) > 0 && entries[len(entries)-1].Rank > s {
+			entries = entries[:len(entries)-1]
 		}
+	}
+	if a != nil {
 		res := a.newResult()
 		*res = Result{Query: e.q, K: e.k, Entries: entries, Stats: e.stats, Trace: e.traceLog}
 		return res
 	}
-	return &Result{Query: e.q, K: e.k, Entries: e.heap.sorted(), Stats: e.stats, Trace: e.traceLog}
+	return &Result{Query: e.q, K: e.k, Entries: entries, Stats: e.stats, Trace: e.traceLog}
 }
 
 // refineAndSettle runs the refine/offer/expand tail of the SDS-tree
@@ -351,7 +415,7 @@ func (e *Engine) refineAndSettle(v int32, d float64) {
 func (e *Engine) settleRefined(v int32, d float64, bound int32, exact bool) {
 	db := e.descBound(v, bound)
 	e.setDescBound(v, db)
-	if exact && bound <= e.heap.kRank() {
+	if exact {
 		e.offer(v, bound)
 	}
 	// Skipping expansion is sound only once descendants provably cannot
@@ -361,7 +425,7 @@ func (e *Engine) settleRefined(v int32, d float64, bound int32, exact bool) {
 	// because a descendant tying the k-th rank can still tie-break in by
 	// node id — the canonical-result invariant the cluster merge needs.
 	// In monochromatic graphs db == bound, matching Algorithm 1.
-	expand := db <= e.heap.kRank()
+	expand := db <= e.kRank()
 	if expand {
 		e.tree.Expand(v, d)
 	}
@@ -381,7 +445,7 @@ func (e *Engine) settleRefined(v int32, d float64, bound int32, exact bool) {
 // (kRank abort), or rank.Unreachable when p cannot reach q.
 func (e *Engine) refine(p int32, dpq float64) (bound int32, exact bool) {
 	e.stats.Refinements++
-	kRank := e.heap.kRank()
+	kRank := e.kRank()
 	if a := e.arena; a != nil {
 		// Batch mode: try to resolve this refinement from a settle log a
 		// previous query in the batch stored for p. A successful replay

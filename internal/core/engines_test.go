@@ -220,6 +220,56 @@ func TestBichromaticMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestIndexedEvictionBichromatic: once Reverse(q) is full, a candidate
+// whose entry was evicted is pruned by the eviction argument, and its
+// Check bound, raised past q by the search from it, no longer bounds its
+// rank. Handing that bound to the subtree below an uncounted node cut
+// descendants that tie the node's rank and precede the evicting entries
+// by node id: single-node Indexed lost true results at k = K.
+func TestIndexedEvictionBichromatic(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		g, stores := gen.RoadNetwork(gen.RoadNetworkParams{Rows: 15, Cols: 15, KeepProb: 0.3, Stores: 25, Seed: seed})
+		candidates, counted := gen.StoreClasses(g.N(), stores)
+		opts := Options{Candidates: candidates, Counted: counted}
+		ref := NewEngine(g, opts)
+		want := map[[2]int]string{}
+		for _, maxK := range []int{20, 40} {
+			ix, err := ridx.Build(g, ridx.BuildParams{
+				Hubs:    hub.Select(g, hub.DegreeFirst, g.N()/10, hub.Options{Seed: seed}),
+				M:       g.N() / 5,
+				K:       maxK,
+				Counted: counted, Candidates: candidates,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := NewEngine(g, opts)
+			e.SetIndex(ix)
+			for pass := 0; pass < 2; pass++ {
+				for _, q := range stores {
+					for _, k := range []int{1, 5, 10, 20} {
+						key := [2]int{int(q), k}
+						if _, ok := want[key]; !ok {
+							res, err := ref.Query(Dynamic, q, k)
+							if err != nil {
+								t.Fatal(err)
+							}
+							want[key] = fmt.Sprint(res.Entries)
+						}
+						res, err := e.Query(Indexed, q, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := fmt.Sprint(res.Entries); got != want[key] {
+							t.Fatalf("seed %d K=%d pass %d q=%d k=%d: %s, dynamic %s", seed, maxK, pass, q, k, got, want[key])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestQueryArgumentValidation covers the error paths.
 func TestQueryArgumentValidation(t *testing.T) {
 	g := gen.GNM(10, 20, false, 1)

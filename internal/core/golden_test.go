@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -113,12 +114,52 @@ func decisionLine(b *strings.Builder, dataset string, a core.Algorithm, res *cor
 		s.SharedTraversals, s.LabelPruned, s.LabelFallbacks, s.LabelScanned, traceDigest(res.Trace))
 }
 
+// maskedDecisions appends the masked cases of the golden: ds split two
+// ways by node parity, each shard queried under a merged k of 20, so
+// foreign candidates, the shadow heap and the trimmed result are pinned
+// for every engine. The two shards of Indexed share one index, as the
+// shards of an in-process cluster do.
+func maskedDecisions(t *testing.T, b *strings.Builder, ds decisionDataset) {
+	const shards, mergedK = 2, 20
+	ctx := core.WithMergedK(context.Background(), mergedK)
+	for _, a := range []core.Algorithm{core.Static, core.Dynamic, core.Indexed, core.HubLabel} {
+		ix := ds.index.Clone()
+		for shard := 0; shard < shards; shard++ {
+			mask := make([]bool, ds.g.N())
+			for v := range mask {
+				mask[v] = v%shards == shard
+			}
+			opts := ds.opts
+			opts.Candidates = mask
+			e := core.NewEngine(ds.g, opts)
+			e.SetTracing(true)
+			if a == core.Indexed {
+				e.SetIndex(ix)
+			}
+			name := fmt.Sprintf("%s shard=%d/%d merged_k=%d", ds.name, shard, shards, mergedK)
+			for _, q := range ds.queries {
+				for _, k := range []int{1, 10, 20} {
+					res, err := e.QueryContext(ctx, a, q, k)
+					if err != nil {
+						t.Fatalf("%s %v q=%d k=%d: %v", name, a, q, k, err)
+					}
+					decisionLine(b, name, a, res)
+				}
+			}
+		}
+		if a == core.Indexed {
+			fmt.Fprintf(b, "%s masked %s index_entries=%d\n", ds.name, a, ix.Entries())
+		}
+	}
+}
+
 // TestEngineDecisionsGolden pins, for each SDS-tree engine on a DBLP-like
 // undirected graph, an Epinions-like directed graph and a bichromatic road
 // network, the exact result entries, every Stats decision and effort
 // counter, and a digest of the decision trace. Indexed runs every query of
 // a dataset against one evolving index, so its index feedback is pinned
-// too (the final line records the index size). Any diff means an engine
+// too (the final line records the index size). The masked cases at the
+// end pin the merged-k shard decisions (maskedDecisions). Any diff means an engine
 // decided differently; regenerate with
 // `go test ./internal/core -run DecisionsGolden -update` only when that
 // change is intended.
@@ -147,6 +188,7 @@ func TestEngineDecisionsGolden(t *testing.T) {
 			}
 		}
 	}
+	maskedDecisions(t, &b, decisionDatasets(t)[0])
 	got := b.String()
 
 	const golden = "testdata/engine_decisions.golden"

@@ -15,7 +15,7 @@ func TestResultHeapAgainstReference(t *testing.T) {
 		k := 1 + rng.Intn(8)
 		n := rng.Intn(40)
 		var h resultHeap
-		h.reset(k)
+		h.reset(k, 100)
 		var all []rank.Entry
 		seen := map[int32]bool{}
 		for i := 0; i < n; i++ {

@@ -8,6 +8,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"rkranks/internal/graph"
@@ -143,8 +144,17 @@ type Options struct {
 
 	// Candidates restricts the result class V1 for bichromatic queries
 	// (Definition 4): only nodes with Candidates[v] == true may appear in
-	// results. Nil makes every node a candidate (monochromatic).
+	// results. Nil makes every node a candidate (monochromatic). A
+	// cluster shard sets it to its share of the cluster's class.
 	Candidates []bool
+
+	// ClusterCandidates is the candidate class of the whole cluster
+	// whose share Candidates holds; nil means every node. It matters
+	// only for queries that carry a merged k (WithMergedK): a node
+	// inside it but outside Candidates is then a foreign candidate that
+	// the engine bounds, and refines if it must, to prune its subtree
+	// and tighten its threshold, without ever returning it.
+	ClusterCandidates []bool
 
 	// Counted restricts the rank-counting class V2 for bichromatic queries
 	// (Definition 3): Rank(s, t) counts only nodes with Counted[v] == true.
@@ -166,22 +176,53 @@ type Options struct {
 	Labels *hub.Labels
 }
 
-func (o *Options) bichromatic() bool { return o.Candidates != nil || o.Counted != nil }
-
 // effectiveBounds disables components whose lemmas do not hold for the
-// graph: Lemma 4 (count) requires an undirected monochromatic graph
-// (the paper's footnote 1), and Lemma 2 (height) counts every hop on the
-// path, which is only a rank bound when every node is counted.
+// graph: Lemma 4 (count) requires an undirected graph on which every node
+// is counted (the paper's footnote 1; a candidate mask does not matter,
+// since the lemma is about who is counted, not who may be returned), and
+// Lemma 2 (height) counts path nodes, which is only a rank bound when
+// every node is counted.
 func (o *Options) effectiveBounds(g *graph.Graph) Bounds {
 	b := o.Bounds
 	if b == 0 {
 		b = BoundsAll
 	}
-	if g.Directed() || o.bichromatic() {
+	if g.Directed() || o.Counted != nil {
 		b &^= BoundCount
 	}
 	if o.Counted != nil {
 		b &^= BoundHeight
 	}
 	return b
+}
+
+type mergedKKey struct{}
+
+// WithMergedK returns ctx carrying the merged k of a sharded query: the k
+// of the client's query that a cluster coordinator merges shard answers
+// into. An engine with a candidate mask that runs a query under it
+// (Engine.QueryContext, and through it Pool and every backend that passes
+// its context down) prunes with the bounds of the cluster's whole
+// candidate class (Options.ClusterCandidates), as one node would, and so
+// may withhold own candidates that cannot reach the merged top k. Its
+// result then certifies less than the canonical top k of its own class:
+//
+//   - a full result withholds only candidates that order strictly after
+//     its last entry or cannot reach the merged top k;
+//   - a short result withholds only candidates that cannot reach the
+//     merged top k.
+//
+// Both are exactly what the coordinator's merge needs (see Result.Floor).
+// The merged k must be at least the query's k (ErrInvalidK otherwise),
+// and for Indexed queries at most the index K; 0 means none. The value
+// crosses process boundaries as the merged_k field of /v1/query and
+// /v1/batch, which api.Client fills in from the context.
+func WithMergedK(ctx context.Context, k int) context.Context {
+	return context.WithValue(ctx, mergedKKey{}, k)
+}
+
+// MergedK returns the merged k ctx carries (WithMergedK), 0 for none.
+func MergedK(ctx context.Context) int {
+	k, _ := ctx.Value(mergedKKey{}).(int)
+	return k
 }

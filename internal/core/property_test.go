@@ -122,6 +122,38 @@ func TestZeroWeightEdges(t *testing.T) {
 	}
 }
 
+// TestTiedGridMatchesNaive: on a grid whose zero-weight edges put whole
+// node clusters at distance 0 from the query, the height bound must count
+// only path nodes at positive distance (a node at distance 0 is exactly
+// as close as q, not strictly closer). Counting every hop pruned true
+// results, e.g. q=21, k=1 returned 9:1 instead of 8:1.
+func TestTiedGridMatchesNaive(t *testing.T) {
+	g := tg.TiedGrid(12, 12)
+	labels, err := hub.BuildLabels(g, hub.Order(g, hub.DegreeFirst, g.N()/4, hub.Options{Seed: 1}), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive := NewEngine(g, Options{})
+	e := NewEngine(g, Options{Labels: labels})
+	for q := int32(0); int(q) < g.N(); q++ {
+		for _, k := range []int{1, 3, 10, 20} {
+			want, err := naive.Query(Naive, q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range []Algorithm{Dynamic, HubLabel} {
+				got, err := e.Query(a, q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(got.Entries) != fmt.Sprint(want.Entries) {
+					t.Fatalf("%v q=%d k=%d: %v, naive %v", a, q, k, got.Entries, want.Entries)
+				}
+			}
+		}
+	}
+}
+
 // TestSingleNodeAndTinyGraphs exercises degenerate shapes.
 func TestSingleNodeAndTinyGraphs(t *testing.T) {
 	b := graph.NewBuilder(false)

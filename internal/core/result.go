@@ -93,7 +93,8 @@ type Result struct {
 	K int
 	// Entries holds the result nodes with their exact Rank(p, q) values,
 	// ordered by (rank, node id). len(Entries) < K only when fewer than K
-	// nodes can reach q.
+	// nodes can reach q, or, under a merged k (WithMergedK), when the rest
+	// cannot reach the merged top k.
 	Entries []rank.Entry
 	// Partial marks a result assembled from an incomplete candidate set:
 	// a cluster coordinator answered in degraded mode while one or more
@@ -119,7 +120,8 @@ type Result struct {
 // candidate either cannot reach the query node at all or orders strictly
 // after (Rank, Node). A cluster coordinator uses shard floors to certify
 // a merged global top-k without transferring every shard's full result
-// (see internal/cluster).
+// (see internal/cluster). Under a merged k (WithMergedK) a withheld
+// candidate may instead be one that cannot reach the merged top k.
 type Floor struct {
 	// Rank and Node are the k-th returned entry (the floor's witness).
 	Rank int32
@@ -132,7 +134,12 @@ type Floor struct {
 // Floor derives the rank floor a full result certifies: a result shorter
 // than K exhausted its candidate class, and a full one withholds only
 // candidates ordering strictly after its last entry — a consequence of
-// Entries being the canonical minimum K by (rank, node id).
+// Entries being the canonical minimum K by (rank, node id). With a merged
+// k, a short result certifies that nothing the query withheld can reach
+// the merged top k, and a full one that each withheld candidate orders
+// strictly after its last entry or cannot reach the merged top k: either
+// way the floor is as good as the canonical one to a merge into that top
+// k.
 func (r *Result) Floor() Floor {
 	if len(r.Entries) < r.K {
 		return Floor{Exhausted: true}
@@ -196,10 +203,13 @@ type resultHeap struct {
 	entries []rank.Entry
 }
 
-func (h *resultHeap) reset(k int) {
+// reset empties the heap for a query of size k. n, the graph's node
+// count, caps the preallocation: no heap ever holds more entries than
+// there are nodes, so an absurd k costs no memory.
+func (h *resultHeap) reset(k, n int) {
 	h.k = k
-	if cap(h.entries) < k {
-		h.entries = make([]rank.Entry, 0, k)
+	if c := min(k, n); cap(h.entries) < c {
+		h.entries = make([]rank.Entry, 0, c)
 	}
 	h.entries = h.entries[:0]
 }

@@ -208,7 +208,7 @@ func NewStore(g *graph.Graph, cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// resolveOptions sizes the base options (Candidates/Counted masks) to g.
+// resolveOptions sizes the base options (class masks) to g.
 func (s *Store) resolveOptions(g *graph.Graph) (core.Options, error) {
 	opts := s.cfg.Options
 	opts.Labels = nil
@@ -221,6 +221,7 @@ func (s *Store) resolveOptions(g *graph.Graph) (core.Options, error) {
 	} else {
 		opts.Candidates = extendMask(opts.Candidates, g.N())
 	}
+	opts.ClusterCandidates = extendMask(opts.ClusterCandidates, g.N())
 	opts.Counted = extendMask(opts.Counted, g.N())
 	return opts, nil
 }

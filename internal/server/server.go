@@ -492,6 +492,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	algo, err := s.resolveAlgorithm(req.Algorithm)
+	if err == nil {
+		err = checkMergedK(req.MergedK, req.K)
+	}
 	if err != nil {
 		s.reject(w, r, start, http.StatusBadRequest, codeInvalidArgument, err.Error())
 		return
@@ -505,7 +508,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
+	ctx, cancel := s.requestContext(withMergedK(r.Context(), req.MergedK), req.TimeoutMS)
 	defer cancel()
 	res, err := s.backend.QueryContext(ctx, algo, req.Q, req.K)
 	if err != nil {
@@ -528,6 +531,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	algo, err := s.resolveAlgorithm(req.Algorithm)
+	if err == nil {
+		err = checkMergedK(req.MergedK, req.K)
+	}
 	if err != nil {
 		s.reject(w, r, start, http.StatusBadRequest, codeInvalidArgument, err.Error())
 		return
@@ -552,7 +558,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
+	ctx, cancel := s.requestContext(withMergedK(r.Context(), req.MergedK), req.TimeoutMS)
 	defer cancel()
 	results, err := s.backend.QueryManyContext(ctx, algo, req.Queries, req.K)
 	if err != nil {
@@ -761,6 +767,24 @@ func (s *Server) requestContext(parent context.Context, timeoutMS int64) (contex
 		}
 	}
 	return context.WithTimeout(parent, timeout)
+}
+
+// checkMergedK rejects a merged k (api.QueryRequest.MergedK) below the
+// request's k before the request takes an admission slot; the index-K
+// ceiling of indexed queries is the engine's to enforce.
+func checkMergedK(mergedK, k int) error {
+	if mergedK != 0 && (mergedK < 0 || mergedK < k) {
+		return fmt.Errorf("merged_k %d below k %d", mergedK, k)
+	}
+	return nil
+}
+
+// withMergedK attaches a request's merged k, if any, for the backend.
+func withMergedK(ctx context.Context, mergedK int) context.Context {
+	if mergedK == 0 {
+		return ctx
+	}
+	return core.WithMergedK(ctx, mergedK)
 }
 
 func toQueryResponse(res *core.Result, algo core.Algorithm, elapsed time.Duration) queryResponse {

@@ -73,9 +73,9 @@
 // Beyond one process, NewCluster partitions the candidate class into
 // vertex shards — one masked engine pool each — behind a scatter-gather
 // coordinator whose merged results are byte-identical to a single pool's:
-// results are canonical (the minimum k entries by (rank, node id),
-// independent of engine, index state, and pruning order), so each shard's
-// answer certifies a rank floor on everything it withheld and the
+// each shard prunes with the bounds of the whole candidate class, as one
+// node would, and its answer certifies that everything it withheld orders
+// after its rank floor or cannot reach the merged top k, so the
 // coordinator fetches only what the merged cutoff cannot exclude.
 // cmd/rkcluster serves the same coordinator over HTTP, with shards
 // in-process or on remote rkserve instances (rkserve -shard i/P); see the

@@ -255,13 +255,10 @@ func columnKind(header string) metricKind {
 	case strings.Contains(h, "label prunes"):
 		return metricKind{higherBetter: true, floor: minCounter, tracked: true}
 	// Cluster scatter-gather counters (serving_cluster): deterministic
-	// shard-work metrics. Entries moved and escalation rounds regress
-	// when they RISE; shards short-circuited by their rank floor and the
-	// transfer saving regress when they FALL.
-	case strings.Contains(h, "entries"), strings.Contains(h, "escalation"):
+	// shard-work metrics. Entries moved regress when they RISE; the
+	// transfer saving regresses when it FALLS.
+	case strings.Contains(h, "entries"):
 		return metricKind{floor: minCounter, tracked: true}
-	case strings.Contains(h, "short-circuit"):
-		return metricKind{higherBetter: true, floor: minCounter, tracked: true}
 	case strings.Contains(h, "saved"):
 		return metricKind{higherBetter: true, floor: 1, tracked: true}
 	// Cache + batch-scatter columns (serving_batch). Hit rate, coalesce

@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"log/slog"
+	"os"
+	"path/filepath"
 	"syscall"
 	"testing"
 	"time"
@@ -14,6 +16,10 @@ import (
 // 2-shard in-process cluster, exercises the serving surface, and asserts
 // the SIGTERM drain contract.
 func TestClusterServeAndSigtermDrain(t *testing.T) {
+	topo := filepath.Join(t.TempDir(), "topo.json")
+	if err := os.WriteFile(topo, []byte(`{"partitioner":"degree","local":{"shards":2,"pool_size":1}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	logger := slog.New(slog.DiscardHandler)
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
@@ -21,8 +27,7 @@ func TestClusterServeAndSigtermDrain(t *testing.T) {
 		done <- run([]string{
 			"-addr", "127.0.0.1:0",
 			"-gen", "dblp", "-gen-nodes", "1500",
-			"-shards", "2", "-partitioner", "degree",
-			"-pool", "1", "-access-log=false",
+			"-topology", topo, "-access-log=false",
 		}, logger, ready)
 	}()
 

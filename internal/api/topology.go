@@ -9,11 +9,11 @@ import (
 
 // Topology is the declarative cluster layout consumed by rkcluster's
 // -topology flag (and promoted to the public surface as
-// rkranks.Topology). It replaces the positional -shards/-backends flag
-// spec: one JSON document names every shard group with its replica set,
-// plus the coordinator-level options that used to be scattered across
-// flags. Zero values mean the documented defaults throughout, matching
-// the options convention of the rest of the surface.
+// rkranks.Topology): one JSON document names every shard group with its
+// replica set, plus the coordinator-level options. Zero values mean the
+// documented defaults throughout, matching the options convention of
+// the rest of the surface; the zero Topology is one local, unreplicated
+// shard.
 //
 // Remote form — each entry of Shards is one shard group; replicas are
 // rkserve base URLs all serving the same shard mask (shard i of
@@ -36,9 +36,6 @@ type Topology struct {
 	// StrictConsistency refuses degraded (Partial) answers when a shard
 	// group is unavailable, failing the query instead.
 	StrictConsistency bool `json:"strict_consistency,omitempty"`
-	// FirstRoundK overrides the reduced per-shard k of scatter round
-	// one (0 = adaptive default).
-	FirstRoundK int `json:"first_round_k,omitempty"`
 	// CacheMB adds a coordinator-level response cache of this budget
 	// (0 = no cache).
 	CacheMB int `json:"cache_mb,omitempty"`
@@ -90,9 +87,6 @@ func (t *Topology) Validate() error {
 	case "", "modulo", "degree":
 	default:
 		return fmt.Errorf("api: unknown partitioner %q (want modulo or degree)", t.Partitioner)
-	}
-	if t.FirstRoundK < 0 {
-		return fmt.Errorf("api: first_round_k must be >= 0, got %d", t.FirstRoundK)
 	}
 	if t.CacheMB < 0 {
 		return fmt.Errorf("api: cache_mb must be >= 0, got %d", t.CacheMB)

@@ -1,6 +1,8 @@
 package api
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -9,7 +11,6 @@ func TestReadTopologyRemote(t *testing.T) {
 	doc := `{
 	  "partitioner": "degree",
 	  "strict_consistency": true,
-	  "first_round_k": 12,
 	  "cache_mb": 64,
 	  "shards": [
 	    {"replicas": ["http://a:8081", "http://b:8081"]},
@@ -20,7 +21,7 @@ func TestReadTopologyRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if topo.Partitioner != "degree" || !topo.StrictConsistency || topo.FirstRoundK != 12 || topo.CacheMB != 64 {
+	if topo.Partitioner != "degree" || !topo.StrictConsistency || topo.CacheMB != 64 {
 		t.Errorf("options lost in decode: %+v", topo)
 	}
 	if len(topo.Shards) != 2 || len(topo.Shards[0].Replicas) != 2 {
@@ -55,6 +56,7 @@ func TestReadTopologyRejections(t *testing.T) {
 		{"typoed nested field", `{"local": {"shard": 2}}`},
 		{"bad partitioner", `{"partitioner": "random"}`},
 		{"negative first_round_k", `{"first_round_k": -1}`},
+		{"removed first_round_k", `{"first_round_k": 10}`},
 		{"negative cache_mb", `{"cache_mb": -5}`},
 		{"both local and shards", `{"local": {"shards": 2}, "shards": [{"replicas": ["http://a"]}]}`},
 		{"negative local counts", `{"local": {"replicas": -1}}`},
@@ -76,4 +78,52 @@ func TestValidateNilTopology(t *testing.T) {
 	if err := topo.Validate(); err == nil {
 		t.Fatal("nil topology validated")
 	}
+}
+
+// FuzzReadTopology: any document either fails to decode, or yields a
+// topology that passes Validate and comes back equal through
+// json.Marshal and ReadTopology. Equal means the same encoding: it drops
+// the difference between an empty and an absent shard list, which
+// nothing reads. ReadTopology must never panic.
+func FuzzReadTopology(f *testing.F) {
+	for _, seed := range []string{
+		// README, "Replication & failover".
+		`{"partitioner": "modulo", "strict_consistency": false, "cache_mb": 32,
+		  "shards": [{"replicas": ["http://host0a:8081", "http://host0b:8081"]},
+		             {"replicas": ["http://host1a:8081", "http://host1b:8081"]}]}`,
+		`{"local": {"shards": 2, "replicas": 2, "live": true}}`,
+		// rkcluster's package doc.
+		`{"shards": [{"replicas": ["http://s0a:8080", "http://s0b:8080"]},
+		             {"replicas": ["http://s1a:8080", "http://s1b:8080"]}]}`,
+		`{"partitioner": "degree", "local": {"shards": 4}}`,
+		// A field that no longer exists, and a layout Validate refuses.
+		`{"partitioner": "degree", "first_round_k": 10, "local": {"shards": 2}}`,
+		`{"local": {"shards": 2}, "shards": [{"replicas": ["http://a:8081"]}]}`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		topo, err := ReadTopology(strings.NewReader(doc))
+		if err != nil {
+			return
+		}
+		if err := topo.Validate(); err != nil {
+			t.Fatalf("ReadTopology returned a topology Validate rejects: %v", err)
+		}
+		enc, err := json.Marshal(topo)
+		if err != nil {
+			t.Fatalf("encode %+v: %v", topo, err)
+		}
+		back, err := ReadTopology(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("re-encoded topology %s rejected: %v", enc, err)
+		}
+		again, err := json.Marshal(back)
+		if err != nil {
+			t.Fatalf("encode %+v: %v", back, err)
+		}
+		if !bytes.Equal(again, enc) {
+			t.Fatalf("round trip changed the topology:\n first  %s\n second %s", enc, again)
+		}
+	})
 }

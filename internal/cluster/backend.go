@@ -24,15 +24,15 @@ import (
 type ShardBackend interface {
 	// Query returns the shard-local top-k. Without a merged k on ctx it
 	// is the canonical top-k, and a result shorter than k means the
-	// shard's candidate class is exhausted. With a merged k, a full
-	// result withholds only candidates that order strictly after its
-	// last entry or cannot reach the merged top k, and a short one only
-	// candidates that cannot reach the merged top k; the coordinator
-	// then treats a short result as settled (see core.Floor).
+	// shard's candidate class is exhausted. With a merged k it may omit
+	// candidates that cannot reach the merged top k; with the merged k
+	// equal to k, as the coordinator sends, it holds every one of the
+	// shard's candidates that is in the merged top k.
 	Query(ctx context.Context, a core.Algorithm, q int32, k int) (*core.Result, error)
 	// QueryBatch answers many queries in ONE round trip — one result per
-	// query, in input order, each with the same semantics as Query. The coordinator's batch scatter leans on it to
-	// spend one RPC per shard per /v1/batch instead of one per query.
+	// query, in input order, each with the same semantics as Query. The
+	// coordinator's batch scatter leans on it to spend one RPC per shard
+	// per /v1/batch instead of one per query.
 	QueryBatch(ctx context.Context, a core.Algorithm, queries []int32, k int) ([]*core.Result, error)
 	// Size hints how many queries the backend can serve concurrently
 	// (engine slots); the coordinator budgets batch fan-out with it.

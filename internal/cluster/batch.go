@@ -9,13 +9,13 @@ import (
 	"rkranks/internal/obs"
 )
 
-// batchState accumulates one batch scatter's rounds.
+// batchState accumulates one batch scatter's shard answers.
 //
-// perShard[shard][qi] is shard's latest answer for batch query qi (nil
-// when the shard has not answered it); the per-query merge reads one
-// column of that matrix. Error folding mirrors gatherState, but a shard
-// failure taints EVERY query of the batch that still needed the shard —
-// with one RPC carrying them all, they fail or degrade together.
+// perShard[shard][qi] is shard's answer for batch query qi (nil when the
+// shard has not answered it); the per-query merge reads one column of
+// that matrix. Error folding mirrors gatherState, but a shard failure
+// taints EVERY query of the batch — with one RPC carrying them all, they
+// fail or degrade together.
 type batchState struct {
 	perShard [][]*core.Result
 	stats    []core.Stats
@@ -24,21 +24,18 @@ type batchState struct {
 	maxShard    time.Duration
 	transferred int
 	rpcs        int
-	answered    int // shards that answered the last round they were asked in
+	answered    int // shards that answered
 	overloaded  []int
 	retryAfter  time.Duration
 	fatal       error
 	firstFail   *ShardError
 }
 
-// batchScatter answers a whole batch with at most two RPCs per shard:
-// round one sends every query to every available shard at the reduced
-// first-round k, then each query is merged independently and its
-// uncertified shards are collected; round two sends each such shard one
-// RPC with exactly the queries it must re-answer at full k. The
-// per-query certification logic is unsettledShards — the same rule the
-// single-query path uses — so every merged result is byte-identical to a
-// per-query scatter (and to a single node).
+// batchScatter answers a whole batch with one RPC per available shard:
+// every query goes to every shard at k, with k as the merged k, and each
+// query is merged on its own with mergeTopK, the rule the single-query
+// path uses, so every merged result is byte-identical to a per-query
+// scatter (and to a single node).
 func (c *Coordinator) batchScatter(ctx context.Context, a core.Algorithm, queries []int32, k int) ([]*core.Result, error) {
 	if len(queries) == 0 {
 		return []*core.Result{}, nil
@@ -71,46 +68,9 @@ func (c *Coordinator) batchScatter(ctx context.Context, a core.Algorithm, querie
 		}
 	}
 
-	// Round 1: every query to every target shard, reduced k.
-	all := make([]int, len(queries))
-	for i := range all {
-		all[i] = i
-	}
-	round1 := make(map[int][]int, len(targets))
-	for _, shard := range targets {
-		round1[shard] = all
-	}
-	k0 := c.firstRoundK(k, P)
-	sctx := c.shardContext(ctx, k)
-	c.batchRound(sctx, a, queries, k0, round1, st, obs.StageScatterRound1)
-	if err := c.roundErrorBatch(st); err != nil {
+	c.batchGather(c.shardContext(ctx, k), a, queries, k, targets, st)
+	if err := c.batchGatherError(st); err != nil {
 		return nil, err
-	}
-
-	// Certify per query; group the escalations by shard.
-	escalations := 0
-	shortCircuited := 0
-	if k0 < k {
-		round2 := make(map[int][]int)
-		column := make([]*core.Result, P)
-		for qi := range queries {
-			for s := 0; s < P; s++ {
-				column[s] = st.perShard[s][qi]
-			}
-			merged := mergeTopK(column, k)
-			escalate, settled := unsettledShards(column, merged, k)
-			shortCircuited += settled
-			for _, shard := range escalate {
-				round2[shard] = append(round2[shard], qi)
-			}
-			escalations += len(escalate)
-		}
-		if len(round2) > 0 {
-			c.batchRound(sctx, a, queries, k, round2, st, obs.StageScatterRound2)
-			if err := c.roundErrorBatch(st); err != nil {
-				return nil, err
-			}
-		}
 	}
 
 	if st.answered == 0 {
@@ -154,39 +114,32 @@ func (c *Coordinator) batchScatter(ctx context.Context, a core.Algorithm, querie
 		}
 		results[qi] = res
 	}
-	c.metrics.observeBatch(time.Since(start), st.maxShard, st.rpcs, len(queries),
-		st.transferred, escalations, shortCircuited)
+	c.metrics.observeBatch(time.Since(start), st.maxShard, st.rpcs, len(queries), st.transferred)
 	return results, nil
 }
 
-// batchRound issues one RPC per requested shard, carrying that shard's
-// query subset, and folds the outcomes into st. reqs maps shard id to
-// the batch positions it must answer at k.
-func (c *Coordinator) batchRound(ctx context.Context, a core.Algorithm, queries []int32, k int, reqs map[int][]int, st *batchState, stage obs.Stage) {
+// batchGather issues one RPC per target shard, carrying the whole
+// batch, and folds the outcomes into st.
+func (c *Coordinator) batchGather(ctx context.Context, a core.Algorithm, queries []int32, k int, targets []int, st *batchState) {
 	tr := obs.FromContext(ctx)
-	psp := tr.Begin(stage)
-	psp.SetAttr("shards", int64(len(reqs)))
+	psp := tr.Begin(obs.StageScatter)
+	psp.SetAttr("shards", int64(len(targets)))
 	psp.SetAttr("k", int64(k))
 	type out struct {
 		shard   int
-		idxs    []int
 		res     []*core.Result
 		err     error
 		elapsed time.Duration
 	}
-	outs := make(chan out, len(reqs))
-	for shard, idxs := range reqs {
-		go func(shard int, idxs []int) {
-			qs := make([]int32, len(idxs))
-			for j, qi := range idxs {
-				qs[j] = queries[qi]
-			}
+	outs := make(chan out, len(targets))
+	for _, shard := range targets {
+		go func(shard int) {
 			sm := c.metrics.shards[shard]
 			sm.inFlight.Add(1)
-			csp := tr.BeginShard(stage, shard)
-			csp.SetAttr("queries", int64(len(qs)))
+			csp := tr.BeginShard(obs.StageScatter, shard)
+			csp.SetAttr("queries", int64(len(queries)))
 			t0 := time.Now()
-			res, err := c.backends[shard].QueryBatch(ctx, a, qs, k)
+			res, err := c.backends[shard].QueryBatch(ctx, a, queries, k)
 			elapsed := time.Since(t0)
 			if err != nil {
 				csp.SetAttr("error", 1)
@@ -199,17 +152,16 @@ func (c *Coordinator) batchRound(ctx context.Context, a core.Algorithm, queries 
 				failure = false // shedding load is the admission layer working, not ill health
 			}
 			c.health[shard].record(!failure, c.cfg.failureThreshold(), c.cfg.retryBackoff())
-			outs <- out{shard: shard, idxs: idxs, res: res, err: err, elapsed: elapsed}
-		}(shard, idxs)
+			outs <- out{shard: shard, res: res, err: err, elapsed: elapsed}
+		}(shard)
 	}
 
-	for range reqs {
+	for range targets {
 		o := <-outs
 		st.rpcs++
 		if o.err == nil {
 			st.answered++
-			for j, qi := range o.idxs {
-				res := o.res[j]
+			for qi, res := range o.res {
 				st.perShard[o.shard][qi] = res
 				st.stats[qi].Add(res.Stats)
 				st.transferred += len(res.Entries)
@@ -235,9 +187,8 @@ func (c *Coordinator) batchRound(ctx context.Context, a core.Algorithm, queries 
 			}
 			continue
 		}
-		// Availability failure: every query that still needed this shard
-		// degrades (earlier-round answers, if any, keep serving).
-		for _, qi := range o.idxs {
+		// Availability failure: every query of the batch degrades.
+		for qi := range st.partial {
 			st.partial[qi] = true
 		}
 		if st.firstFail == nil {
@@ -247,8 +198,8 @@ func (c *Coordinator) batchRound(ctx context.Context, a core.Algorithm, queries 
 	tr.End(psp)
 }
 
-// roundErrorBatch is roundError for batch rounds.
-func (c *Coordinator) roundErrorBatch(st *batchState) error {
+// batchGatherError is gatherError for a batch scatter.
+func (c *Coordinator) batchGatherError(st *batchState) error {
 	if st.fatal != nil {
 		return st.fatal
 	}

@@ -192,13 +192,12 @@ func TestBatchOneShardTripped(t *testing.T) {
 	}
 }
 
-// TestBatchRPCCounters: with rank-floor pruning disabled (full-k first
-// round) a batch costs exactly ONE RPC per shard, and the /statsz
-// counters say so.
+// TestBatchRPCCounters: a batch costs exactly ONE RPC per shard, and the
+// /statsz counters say so.
 func TestBatchRPCCounters(t *testing.T) {
 	g := tg.Path(40)
 	const shards, k = 2, 6
-	coord, err := NewLocal(g, core.Options{}, Modulo{}, shards, 1, nil, Config{FirstRoundK: k})
+	coord, err := NewLocal(g, core.Options{}, Modulo{}, shards, 1, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,20 +222,6 @@ func TestBatchRPCCounters(t *testing.T) {
 	}
 	if snap.Batch.Window != 1 {
 		t.Errorf("batch latency window = %d, want 1", snap.Batch.Window)
-	}
-
-	// With the reduced first round, escalations may add RPCs but never
-	// more than one extra round per shard.
-	pruned, err := NewLocal(g, core.Options{}, Modulo{}, shards, 1, nil, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pruned.QueryMany(core.Dynamic, queries, k); err != nil {
-		t.Fatal(err)
-	}
-	ps := pruned.ClusterSnapshot().(*Snapshot)
-	if ps.BatchRPCs < shards || ps.BatchRPCs > 2*shards {
-		t.Errorf("pruned batch RPCs = %d, want within [%d, %d]", ps.BatchRPCs, shards, 2*shards)
 	}
 }
 
@@ -276,7 +261,7 @@ func TestRemoteBatchScatter(t *testing.T) {
 		}
 	}
 	snap := coord.ClusterSnapshot().(*Snapshot)
-	if snap.Batches != 1 || snap.BatchRPCs < shards {
+	if snap.Batches != 1 || snap.BatchRPCs != shards {
 		t.Errorf("batch counters off: %+v", snap)
 	}
 }

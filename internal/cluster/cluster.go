@@ -29,26 +29,21 @@
 // only its own candidates, minus any that provably cannot reach the
 // merged top k.
 //
-// # Scatter-gather with rank-floor pruning
+// # One scatter round at the client's k
 //
-// The coordinator fans a query out to all P shards at a reduced result
-// size k0 ~ k/P + slack. A shard answer certifies what it withheld (see
-// core.Result.Floor): a full answer withholds only candidates that order
-// strictly after its last entry or cannot reach the merged top k, and a
-// short one only candidates that cannot reach the merged top k. After
-// merging round one, a shard whose answer is short, or whose floor clears
-// the merged k-th entry, is short-circuited — none of its remaining
-// candidates can enter the global top-k — and only the rest are
-// re-fetched at full k. Boundary ties are handled exactly: floors and
-// cutoffs compare as (rank, node id) pairs, so a withheld candidate that
-// would tie-break into the result always forces the escalation. Two
-// rounds always suffice: a full-k shard answer's floor clears any merged
-// cutoff by construction.
+// The coordinator sends each query once to every available shard, at
+// the client's k and with k as the merged k. A shard's answer then holds
+// every one of its own candidates that is in the merged top k: such a
+// candidate is in the shard's own top k, and it can reach the merged top
+// k, so the shard neither cuts nor withholds it. The union of the
+// answers therefore contains the merged top k with exact ranks, and
+// sorting it by (rank, node id) and keeping k entries (mergeTopK) is
+// exact, boundary ties included.
 //
-// The merged result is therefore byte-identical to a single-node
-// Pool.Query over the unsharded candidate class, for every algorithm,
-// while transferring far fewer than P*k entries per query.
-// Config.NaiveGather, the baseline, sends one full-k round with no merged
+// The merged result is byte-identical to a single-node Pool.Query over
+// the unsharded candidate class, for every algorithm, while each shard
+// withholds what it can tell cannot reach the merged top k.
+// Config.NaiveGather, the baseline, sends the same round with no merged
 // k, so each shard returns its canonical top k.
 //
 // # Degradation
@@ -77,25 +72,15 @@ import (
 	"rkranks/internal/ridx"
 )
 
-// firstRoundSlack pads the auto first-round k above the uniform share
-// k/P: candidate quality is never perfectly uniform across shards, and a
-// couple of spare entries per shard prevent most escalations.
-const firstRoundSlack = 2
-
 // Config tunes a Coordinator. The zero value is production-sane.
 type Config struct {
 	// StrictConsistency refuses queries (ErrShardUnavailable, HTTP 503)
 	// whenever any shard is unavailable, instead of answering partially.
 	StrictConsistency bool
 
-	// FirstRoundK overrides the size of the first scatter round
-	// (0 = auto: ceil(k/P) + 2, capped at k). Values >= k disable
-	// rank-floor pruning — every shard then answers at full k in one
-	// round.
-	FirstRoundK int
-
-	// NaiveGather forces the single-round full-k scatter, the baseline
-	// the serving_cluster experiment compares rank-floor pruning against.
+	// NaiveGather sends shard calls without a merged k, so every shard
+	// returns its canonical top k: the baseline the serving_cluster
+	// experiment compares the merged-k scatter against.
 	NaiveGather bool
 
 	// PerQueryScatter disables batch scatter: QueryManyContext scatters
@@ -190,9 +175,9 @@ func (h *shardHealth) record(ok bool, threshold int, backoff time.Duration) {
 }
 
 // Coordinator scatters reverse k-ranks queries across shard backends and
-// merges the answers with rank-floor pruning. It implements the
-// server.Backend interface, so internal/server serves a cluster through
-// the unchanged /v1/query contract. Safe for concurrent use.
+// merges the answers. It implements the server.Backend interface, so
+// internal/server serves a cluster through the unchanged /v1/query
+// contract. Safe for concurrent use.
 type Coordinator struct {
 	backends []ShardBackend
 	cfg      Config
@@ -385,10 +370,10 @@ type shardOut struct {
 	elapsed time.Duration
 }
 
-// gatherState accumulates a query's rounds.
+// gatherState accumulates a query's shard answers.
 type gatherState struct {
-	results     []*core.Result // latest result per shard, nil = none
-	stats       core.Stats     // work summed over every round
+	results     []*core.Result // answer per shard, nil = none
+	stats       core.Stats     // work summed over the shards
 	maxShard    time.Duration
 	transferred int
 	partial     bool
@@ -406,11 +391,10 @@ type gatherState struct {
 // genuinely diverged (a partially failed mutation fan-out).
 const skewRetries = 2
 
-// QueryContext answers one reverse k-ranks query by scatter-gather:
-// round one at the reduced first-round k, rank-floor certification, then
-// a full-k round for only the shards the merge could not certify. The
-// request context (deadline, cancellation) is passed through to every
-// shard RPC.
+// QueryContext answers one reverse k-ranks query by scatter-gather: one
+// call per available shard at k, carrying k as the merged k, then one
+// merge. The request context (deadline, cancellation) is passed through
+// to every shard call.
 //
 // Merges are generation-consistent: when shard answers carry live-store
 // generation stamps, a merge across two generations (a mutation batch
@@ -451,29 +435,13 @@ func (c *Coordinator) queryOnce(ctx context.Context, a core.Algorithm, q int32, 
 	}
 
 	st := &gatherState{results: make([]*core.Result, P), partial: len(skipped) > 0}
-	k0 := c.firstRoundK(k, P)
-	ctx = c.shardContext(ctx, k)
-	// r1 is the round's parent span; summary attributes land on it after
-	// the merge below (the *Span stays valid — it lives in the trace).
-	r1 := c.gatherRound(ctx, a, q, k0, targets, st, obs.StageScatterRound1)
-	if err := c.roundError(st); err != nil {
+	// sp is the scatter's parent span; the generation attribute lands on
+	// it after the merge below (the *Span stays valid — it lives in the
+	// trace).
+	sp := c.gather(c.shardContext(ctx, k), a, q, k, targets, st)
+	if err := c.gatherError(st); err != nil {
 		return nil, err
 	}
-
-	var escalate []int
-	shortCircuited := 0
-	if k0 < k {
-		merged := mergeTopK(st.results, k)
-		escalate, shortCircuited = unsettledShards(st.results, merged, k)
-		if len(escalate) > 0 {
-			c.gatherRound(ctx, a, q, k, escalate, st, obs.StageScatterRound2)
-			if err := c.roundError(st); err != nil {
-				return nil, err
-			}
-		}
-	}
-	r1.SetAttr("short_circuited", int64(shortCircuited))
-	r1.SetAttr("escalations", int64(len(escalate)))
 
 	if st.answered == 0 {
 		if st.firstFail != nil {
@@ -486,7 +454,7 @@ func (c *Coordinator) queryOnce(ctx context.Context, a core.Algorithm, q int32, 
 	if skewed {
 		return nil, &GenerationSkewError{Query: q, Generations: distinctGenerations(st.results)}
 	}
-	r1.SetAttr("generation", int64(gen))
+	sp.SetAttr("generation", int64(gen))
 	res := &core.Result{
 		Query:      q,
 		K:          k,
@@ -495,7 +463,7 @@ func (c *Coordinator) queryOnce(ctx context.Context, a core.Algorithm, q int32, 
 		Generation: gen,
 		Stats:      st.stats,
 	}
-	c.metrics.observeQuery(time.Since(start), st.maxShard, st.transferred, len(escalate), shortCircuited, st.partial)
+	c.metrics.observeQuery(time.Since(start), st.maxShard, st.transferred, st.partial)
 	return res, nil
 }
 
@@ -552,10 +520,10 @@ func (c *Coordinator) availableShards() (targets, skipped []int) {
 }
 
 // shardContext is the context of every shard call of a query for k: it
-// carries k as the merged k (core.WithMergedK), in both rounds, so each
-// shard prunes with the bounds of the whole cluster and returns only
-// what can reach the merged top k. NaiveGather's calls carry none: their
-// shards return their canonical top k, the baseline the mode measures.
+// carries k as the merged k (core.WithMergedK), so each shard prunes
+// with the bounds of the whole cluster and withholds what cannot reach
+// the merged top k. NaiveGather's calls carry none: their shards return
+// their canonical top k, the baseline the mode measures.
 func (c *Coordinator) shardContext(ctx context.Context, k int) context.Context {
 	if c.cfg.NaiveGather {
 		k = 0
@@ -566,33 +534,14 @@ func (c *Coordinator) shardContext(ctx context.Context, k int) context.Context {
 	return core.WithMergedK(ctx, k)
 }
 
-// firstRoundK sizes the first scatter round.
-func (c *Coordinator) firstRoundK(k, shards int) int {
-	if c.cfg.NaiveGather || shards == 1 {
-		return k
-	}
-	k0 := c.cfg.FirstRoundK
-	if k0 <= 0 {
-		k0 = (k+shards-1)/shards + firstRoundSlack
-	}
-	if k0 > k {
-		k0 = k
-	}
-	if k0 < 1 {
-		k0 = 1
-	}
-	return k0
-}
-
-// gatherRound scatters one round to the target shards in parallel and
-// folds the outcomes into st. Failed shards keep whatever result an
-// earlier round produced (degraded mode serves it, flagged Partial).
-// The round is one parent span of the request trace with a per-shard
-// child span each; the returned parent span (nil when untraced) lets
-// the caller attach merge-time attributes after the round closed.
-func (c *Coordinator) gatherRound(ctx context.Context, a core.Algorithm, q int32, k int, targets []int, st *gatherState, stage obs.Stage) *obs.Span {
+// gather calls the target shards in parallel and folds the outcomes
+// into st. The scatter is one parent span of the request trace with a
+// per-shard child span each; the returned parent span (nil when
+// untraced) lets the caller attach merge-time attributes after it
+// closed.
+func (c *Coordinator) gather(ctx context.Context, a core.Algorithm, q int32, k int, targets []int, st *gatherState) *obs.Span {
 	tr := obs.FromContext(ctx)
-	psp := tr.Begin(stage)
+	psp := tr.Begin(obs.StageScatter)
 	psp.SetAttr("shards", int64(len(targets)))
 	psp.SetAttr("k", int64(k))
 	outs := make([]shardOut, len(targets))
@@ -603,7 +552,7 @@ func (c *Coordinator) gatherRound(ctx context.Context, a core.Algorithm, q int32
 			defer wg.Done()
 			sm := c.metrics.shards[shard]
 			sm.inFlight.Add(1)
-			csp := tr.BeginShard(stage, shard)
+			csp := tr.BeginShard(obs.StageScatter, shard)
 			t0 := time.Now()
 			res, err := c.backends[shard].Query(ctx, a, q, k)
 			elapsed := time.Since(t0)
@@ -661,11 +610,11 @@ func (c *Coordinator) gatherRound(ctx context.Context, a core.Algorithm, q int32
 	return psp
 }
 
-// roundError turns a round's fatal outcomes into the query's error:
+// gatherError turns a scatter's fatal outcomes into the query's error:
 // request faults and context expiry propagate verbatim, any shard 429
 // makes the whole query a 429 with the max shard Retry-After, and in
 // strict mode the first shard failure refuses the query.
-func (c *Coordinator) roundError(st *gatherState) error {
+func (c *Coordinator) gatherError(st *gatherState) error {
 	if st.fatal != nil {
 		return st.fatal
 	}
@@ -684,12 +633,10 @@ func (c *Coordinator) QueryMany(a core.Algorithm, queries []int32, k int) ([]*co
 }
 
 // QueryManyContext implements the batch entry point of server.Backend
-// with batch scatter: ONE RPC per shard carries every query of the batch
-// at the reduced first-round k, each query is merged and certified with
-// the same rank-floor rules as QueryContext, and only the (shard, query)
-// pairs the merge could not certify ride a grouped second round — again
-// at most one RPC per shard. Results are byte-identical to scattering
-// each query alone (see batchScatter), in input order.
+// with batch scatter: ONE call per available shard carries every query
+// of the batch at k, with k as the merged k, and each query is merged
+// with the same rule as QueryContext. Results are byte-identical to
+// scattering each query alone (see batchScatter), in input order.
 //
 // Config.PerQueryScatter restores the old behavior — one scatter-gather
 // per query, pipelined up to the cluster's bottleneck capacity (Size) by

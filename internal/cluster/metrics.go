@@ -62,16 +62,14 @@ type LatencySnapshot struct {
 type metrics struct {
 	mu sync.Mutex
 
-	queries        *obs.Counter
-	partials       *obs.Counter
-	failures       *obs.Counter // shard-level failures observed
-	escalations    *obs.Counter // round-2 shard fetches
-	shortCircuited *obs.Counter // shards settled by their round-1 floor
-	transferred    *obs.Counter // result entries moved coordinator-ward
-	skewRetries    *obs.Counter // re-scatters forced by generation skew
+	queries     *obs.Counter
+	partials    *obs.Counter
+	failures    *obs.Counter // shard-level failures observed
+	transferred *obs.Counter // result entries moved coordinator-ward
+	skewRetries *obs.Counter // re-scatters forced by generation skew
 
 	batches      *obs.Counter // batch scatters served
-	batchRPCs    *obs.Counter // shard RPCs spent on batch scatters (all rounds)
+	batchRPCs    *obs.Counter // shard RPCs spent on batch scatters
 	batchQueries *obs.Counter // queries carried by batch scatters
 
 	coord    latRing // whole scatter-gather-merge per query
@@ -95,17 +93,15 @@ func newMetrics(shards int, om *obs.Metrics) *metrics {
 		om = obs.NewMetrics(nil)
 	}
 	m := &metrics{
-		queries:        om.ClusterQueries,
-		partials:       om.ClusterPartials,
-		failures:       om.ClusterShardFailures,
-		escalations:    om.ClusterEscalations,
-		shortCircuited: om.ClusterShortCircuited,
-		transferred:    om.ClusterTransferred,
-		skewRetries:    om.SkewRetries,
-		batches:        om.ClusterBatches,
-		batchRPCs:      om.ClusterBatchRPCs,
-		batchQueries:   om.ClusterBatchQueries,
-		shards:         make([]*shardMetrics, shards),
+		queries:      om.ClusterQueries,
+		partials:     om.ClusterPartials,
+		failures:     om.ClusterShardFailures,
+		transferred:  om.ClusterTransferred,
+		skewRetries:  om.SkewRetries,
+		batches:      om.ClusterBatches,
+		batchRPCs:    om.ClusterBatchRPCs,
+		batchQueries: om.ClusterBatchQueries,
+		shards:       make([]*shardMetrics, shards),
 	}
 	for i := range m.shards {
 		m.shards[i] = &shardMetrics{}
@@ -130,14 +126,12 @@ func (m *metrics) observeShard(shard int, elapsed time.Duration, err error) {
 }
 
 // observeQuery records one coordinator query's aggregate outcome.
-func (m *metrics) observeQuery(elapsed, maxShard time.Duration, transferred, escalated, shortCircuited int, partial bool) {
+func (m *metrics) observeQuery(elapsed, maxShard time.Duration, transferred int, partial bool) {
 	m.queries.Inc()
 	if partial {
 		m.partials.Inc()
 	}
 	m.transferred.Add(int64(transferred))
-	m.escalations.Add(int64(escalated))
-	m.shortCircuited.Add(int64(shortCircuited))
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.coord.observe(elapsed)
@@ -146,17 +140,15 @@ func (m *metrics) observeQuery(elapsed, maxShard time.Duration, transferred, esc
 	}
 }
 
-// observeBatch records one batch scatter's aggregate outcome. The
-// transfer, escalation, and short-circuit units are (shard, query) pairs,
-// the same units the per-query path counts, so the savings columns stay
-// comparable across both scatter modes.
-func (m *metrics) observeBatch(elapsed, maxShard time.Duration, rpcs, queries, transferred, escalated, shortCircuited int) {
+// observeBatch records one batch scatter's aggregate outcome. Transfer
+// counts entries over every (shard, query) pair, as the per-query path
+// does, so the transfer column stays comparable across both scatter
+// modes.
+func (m *metrics) observeBatch(elapsed, maxShard time.Duration, rpcs, queries, transferred int) {
 	m.batches.Inc()
 	m.batchRPCs.Add(int64(rpcs))
 	m.batchQueries.Add(int64(queries))
 	m.transferred.Add(int64(transferred))
-	m.escalations.Add(int64(escalated))
-	m.shortCircuited.Add(int64(shortCircuited))
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.batch.observe(elapsed)
@@ -173,26 +165,24 @@ type Snapshot struct {
 	ShardFailures  int64 `json:"shard_failures"`
 
 	// EntriesTransferred counts result entries moved from shards to the
-	// coordinator. Rank-floor pruning exists to keep it far below
-	// shards x k x queries (what a naive full-k gather moves).
+	// coordinator. The merged k keeps it below shards x k x queries
+	// (what a naive full-k gather moves).
 	EntriesTransferred int64 `json:"entries_transferred"`
-	// Escalations counts round-2 full-k shard fetches (a shard whose
-	// round-1 floor could not certify the merged cutoff).
-	Escalations int64 `json:"escalations"`
-	// ShortCircuited counts shards whose round-1 floor already cleared
-	// the merged cutoff, so their remaining candidates were never
-	// transferred.
+	// Escalations and ShortCircuited always read 0: they counted the
+	// second scatter round and the shards that skipped it, and every
+	// query now takes one round. They stay in the frozen wire format
+	// while the end-to-end benchmark (bench/e2e) still reads them.
+	Escalations    int64 `json:"escalations"`
 	ShortCircuited int64 `json:"short_circuited"`
 	// SkewRetries counts scatters re-run because shard answers spanned
 	// two graph generations (a mutation landed mid-scatter).
 	SkewRetries int64 `json:"skew_retries"`
 
 	// Batches counts /v1/batch scatters; BatchRPCs the shard round trips
-	// they spent (all rounds — with no escalations, exactly one per shard
-	// per batch); BatchQueries the queries they carried. BatchRPCs over
-	// BatchQueries is the RPCs-per-query figure batch scatter exists to
-	// shrink (the per-query path spends at least one RPC per shard per
-	// QUERY).
+	// they spent (one per available shard per batch); BatchQueries the
+	// queries they carried. BatchRPCs over BatchQueries is the
+	// RPCs-per-query figure batch scatter exists to shrink (the per-query
+	// path spends one RPC per shard per QUERY).
 	Batches      int64 `json:"batches"`
 	BatchRPCs    int64 `json:"batch_rpcs"`
 	BatchQueries int64 `json:"batch_queries"`
@@ -228,8 +218,6 @@ func (m *metrics) snapshot() Snapshot {
 		PartialResults:     m.partials.Value(),
 		ShardFailures:      m.failures.Value(),
 		EntriesTransferred: m.transferred.Value(),
-		Escalations:        m.escalations.Value(),
-		ShortCircuited:     m.shortCircuited.Value(),
 		SkewRetries:        m.skewRetries.Value(),
 		Batches:            m.batches.Value(),
 		BatchRPCs:          m.batchRPCs.Value(),

@@ -43,8 +43,8 @@ func bootRecordingShard(t *testing.T, g *graph.Graph, shards, shard int) (*serve
 // TestTracePropagatesAcrossShards: a coordinator-side trace's request ID
 // rides the X-Request-Id header into every remote shard server, so the
 // shard-side flight-recorder records stitch to the coordinator's trace;
-// and the coordinator's own trace carries the scatter round with one
-// child span per shard.
+// and the coordinator's own trace carries the scatter with one child
+// span per shard.
 func TestTracePropagatesAcrossShards(t *testing.T) {
 	g := gen.DBLPLike(gen.DBLPLikeParams{Nodes: 200, AttachPerNode: 4, ExtraCollabFactor: 0.5, Seed: 3})
 	const shards = 2
@@ -92,11 +92,11 @@ func TestTracePropagatesAcrossShards(t *testing.T) {
 		}
 	}
 
-	// The coordinator trace holds the scatter round as a parent span plus
+	// The coordinator trace holds the scatter as a parent span plus
 	// one child span per shard.
 	var parents, children int
 	for _, sp := range tr.Spans() {
-		if sp.Stage != obs.StageScatterRound1 {
+		if sp.Stage != obs.StageScatter {
 			continue
 		}
 		if sp.Shard < 0 {
@@ -106,6 +106,6 @@ func TestTracePropagatesAcrossShards(t *testing.T) {
 		}
 	}
 	if parents != 1 || children != shards {
-		t.Errorf("scatter.round1 spans: %d parents, %d children; want 1 and %d", parents, children, shards)
+		t.Errorf("scatter spans: %d parents, %d children; want 1 and %d", parents, children, shards)
 	}
 }

@@ -155,9 +155,10 @@ func (r *mergedKRecorder) QueryBatch(ctx context.Context, a core.Algorithm, quer
 	return r.ShardBackend.QueryBatch(ctx, a, queries, k)
 }
 
-// TestShardCallsCarryMergedK: every shard call of a query for k carries k
-// as the merged k, in both rounds and in the batch scatter; NaiveGather's
-// calls carry none, so its shards return their canonical top k.
+// TestShardCallsCarryMergedK: a query and a batch each make exactly one
+// call per shard, and every call for k carries k as the merged k;
+// NaiveGather's calls carry none, so its shards return their canonical
+// top k.
 func TestShardCallsCarryMergedK(t *testing.T) {
 	g := gen.DBLPLike(gen.DBLPLikeParams{Nodes: 200, AttachPerNode: 4, Seed: 5})
 	const k = 10
@@ -169,31 +170,34 @@ func TestShardCallsCarryMergedK(t *testing.T) {
 			recs = append(recs, r)
 			backends = append(backends, r)
 		}
-		// FirstRoundK 1 forces round-2 escalations.
-		coord, err := New(backends, Config{NaiveGather: naive, FirstRoundK: 1})
+		coord, err := New(backends, Config{NaiveGather: naive})
 		if err != nil {
 			t.Fatal(err)
+		}
+		want := k
+		if naive {
+			want = 0
+		}
+		check := func(what string, calls int) {
+			t.Helper()
+			for i, r := range recs {
+				if len(r.seen) != calls {
+					t.Fatalf("naive=%v shard %d: %d calls after the %s, want %d", naive, i, len(r.seen), what, calls)
+				}
+				for _, mk := range r.seen {
+					if mk != want {
+						t.Fatalf("naive=%v shard %d: call carried merged k %d, want %d", naive, i, mk, want)
+					}
+				}
+			}
 		}
 		if _, err := coord.QueryContext(core.WithMergedK(context.Background(), 50), core.Dynamic, 7, k); err != nil {
 			t.Fatal(err)
 		}
+		check("query", 1)
 		if _, err := coord.QueryMany(core.Dynamic, []int32{3, 8, 21}, k); err != nil {
 			t.Fatal(err)
 		}
-		want, calls := k, 0
-		if naive {
-			want = 0
-		}
-		for i, r := range recs {
-			for _, mk := range r.seen {
-				if mk != want {
-					t.Fatalf("naive=%v shard %d: call carried merged k %d, want %d", naive, i, mk, want)
-				}
-			}
-			calls += len(r.seen)
-		}
-		if round1 := 2 * len(recs); calls <= round1 && !naive {
-			t.Fatalf("%d shard calls: the test never escalated to round 2", calls)
-		}
+		check("batch", 2)
 	}
 }

@@ -367,9 +367,9 @@ func (g *ReplicaGroup) Query(ctx context.Context, a core.Algorithm, q int32, k i
 	})
 }
 
-// QueryBatch implements ShardBackend; the whole batch fails over
-// together (shard answers must come from ONE replica so the rank-floor
-// certificates stay coherent).
+// QueryBatch implements ShardBackend with replica failover. The batch is
+// one call, so it fails over as a whole and every answer in it comes
+// from one replica.
 func (g *ReplicaGroup) QueryBatch(ctx context.Context, a core.Algorithm, queries []int32, k int) ([]*core.Result, error) {
 	return replicaCall(ctx, g, func(b ShardBackend) ([]*core.Result, error) {
 		return b.QueryBatch(ctx, a, queries, k)

@@ -6,7 +6,6 @@ import (
 
 	"rkranks/internal/graph"
 	"rkranks/internal/rank"
-	tg "rkranks/internal/testgraphs"
 )
 
 // entriesEqual compares entry slices element-wise, treating nil and empty
@@ -87,52 +86,6 @@ func TestCanonicalRestrictedCandidates(t *testing.T) {
 					seed, algo, q, k, res.Entries, want)
 			}
 		}
-	}
-}
-
-// TestResultFloor covers the rank-floor derivation and its certification
-// predicate.
-func TestResultFloor(t *testing.T) {
-	g := tg.Toy()
-	e := NewEngine(g, Options{})
-
-	res, err := e.Query(Dynamic, tg.Alice, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := res.Floor()
-	if f.Exhausted {
-		t.Fatalf("full result reported exhausted floor: %+v", f)
-	}
-	if f.Rank != 4 || f.Node != tg.Caroline {
-		t.Errorf("floor = %+v, want witness (Caroline, 4)", f)
-	}
-	// The floor clears any cutoff at or after its witness, and nothing
-	// before it.
-	if !f.Clears(rank.Entry{Node: tg.Caroline, Rank: 4}) {
-		t.Error("floor should clear its own witness")
-	}
-	if !f.Clears(rank.Entry{Node: tg.Bob, Rank: 3}) {
-		t.Error("floor should clear a strictly better cutoff")
-	}
-	if f.Clears(rank.Entry{Node: tg.George, Rank: 4}) {
-		t.Error("floor must not clear a same-rank cutoff with a larger node id: a withheld candidate could order between them")
-	}
-	if f.Clears(rank.Entry{Node: tg.Sid, Rank: 6}) {
-		t.Error("floor must not clear a worse cutoff")
-	}
-
-	// k exceeding the reachable candidate count: everything was returned.
-	res, err = e.Query(Dynamic, tg.Alice, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f = res.Floor()
-	if !f.Exhausted {
-		t.Errorf("short result should report an exhausted floor, got %+v", f)
-	}
-	if !f.Clears(rank.Entry{Node: 0, Rank: 1}) {
-		t.Error("exhausted floor clears every cutoff")
 	}
 }
 

@@ -12,8 +12,8 @@ package core
 // cannot disqualify fall back to the CSR rank refinement, so every rank
 // that reaches the result heap comes from the same refinement code path as
 // Dynamic's and the canonical minimum-k-by-(rank, node) contract —
-// shard-merge byte-identity, rank-floor certification, response-cache
-// reuse — carries over unchanged. The traversal is sdsTree; the label test
+// shard-merge byte-identity, response-cache reuse — carries over
+// unchanged. The traversal is sdsTree; the label test
 // is the last step of prune.
 
 // labelBound returns a certified lower bound on Rank(p, q) from the hub

@@ -212,9 +212,13 @@ type mergedKKey struct{}
 //   - a short result withholds only candidates that cannot reach the
 //     merged top k.
 //
-// Both are exactly what the coordinator's merge needs (see Result.Floor).
-// The merged k must be at least the query's k (ErrInvalidK otherwise),
-// and for Indexed queries at most the index K; 0 means none. The value
+// Either way it holds every own candidate that is in its own top k and
+// can reach the merged top k. A cluster coordinator sends the client's k
+// as both, so each shard's answer holds every one of its own candidates
+// that is in the merged top k: all the merge needs (see
+// internal/cluster). The merged k must be at least the query's k
+// (ErrInvalidK otherwise), and for Indexed queries at most the index K;
+// 0 means none. The value
 // crosses process boundaries as the merged_k field of /v1/query and
 // /v1/batch, which api.Client fills in from the context.
 func WithMergedK(ctx context.Context, k int) context.Context {

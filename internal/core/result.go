@@ -92,9 +92,12 @@ type Result struct {
 	// K is the requested result size.
 	K int
 	// Entries holds the result nodes with their exact Rank(p, q) values,
-	// ordered by (rank, node id). len(Entries) < K only when fewer than K
-	// nodes can reach q, or, under a merged k (WithMergedK), when the rest
-	// cannot reach the merged top k.
+	// ordered by (rank, node id). Without a merged k they are the
+	// canonical top K of the candidate class, and len(Entries) < K only
+	// when fewer than K nodes can reach q. Under a merged k (WithMergedK)
+	// an engine with a candidate mask may also withhold candidates that
+	// cannot reach the merged top k, but never one that can and is in
+	// its own top K.
 	Entries []rank.Entry
 	// Partial marks a result assembled from an incomplete candidate set:
 	// a cluster coordinator answered in degraded mode while one or more
@@ -113,53 +116,6 @@ type Result struct {
 	// Trace holds the per-node decision log when Engine.SetTracing is
 	// enabled, nil otherwise.
 	Trace []TraceEvent
-}
-
-// Floor is a certified exclusive bound, in (rank, node id) result order,
-// on every candidate a query evaluated but did not return: each withheld
-// candidate either cannot reach the query node at all or orders strictly
-// after (Rank, Node). A cluster coordinator uses shard floors to certify
-// a merged global top-k without transferring every shard's full result
-// (see internal/cluster). Under a merged k (WithMergedK) a withheld
-// candidate may instead be one that cannot reach the merged top k.
-type Floor struct {
-	// Rank and Node are the k-th returned entry (the floor's witness).
-	Rank int32
-	Node int32
-	// Exhausted reports that the query returned every candidate able to
-	// reach the query node: nothing was withheld, the floor is vacuous.
-	Exhausted bool
-}
-
-// Floor derives the rank floor a full result certifies: a result shorter
-// than K exhausted its candidate class, and a full one withholds only
-// candidates ordering strictly after its last entry — a consequence of
-// Entries being the canonical minimum K by (rank, node id). With a merged
-// k, a short result certifies that nothing the query withheld can reach
-// the merged top k, and a full one that each withheld candidate orders
-// strictly after its last entry or cannot reach the merged top k: either
-// way the floor is as good as the canonical one to a merge into that top
-// k.
-func (r *Result) Floor() Floor {
-	if len(r.Entries) < r.K {
-		return Floor{Exhausted: true}
-	}
-	last := r.Entries[len(r.Entries)-1]
-	return Floor{Rank: last.Rank, Node: last.Node}
-}
-
-// Clears reports whether the floor certifies that every withheld
-// candidate orders strictly after cutoff in (rank, node id) order — the
-// condition under which a shard that returned this floor cannot change a
-// merged result whose k-th entry is cutoff.
-func (f Floor) Clears(cutoff rank.Entry) bool {
-	if f.Exhausted {
-		return true
-	}
-	if f.Rank != cutoff.Rank {
-		return f.Rank > cutoff.Rank
-	}
-	return f.Node >= cutoff.Node
 }
 
 // KRank returns the largest rank in the result (the k-th top rank), or 0

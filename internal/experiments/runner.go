@@ -157,7 +157,7 @@ func runBatch(e *core.Engine, algo core.Algorithm, queries []int32, k int) (batc
 // "serving_cluster", "serving_batch", and "hublabel" extend the paper's
 // evaluation with the pooled-concurrency throughput study, the
 // single-query latency study, the HTTP serving-stack
-// load sweep, the sharded scatter-gather study (rank-floor pruning vs
+// load sweep, the sharded scatter-gather study (merged-k scatter vs
 // naive gather across shard counts, through internal/cluster), the
 // batch-scatter plus response-cache study (internal/cache over
 // internal/cluster), the replica-set failover study ("serving_replica":

@@ -12,18 +12,18 @@ import (
 
 // ServingCluster measures the scatter-gather coordinator (internal/
 // cluster) against the same workload a single node serves: per-query
-// latency across shard counts, and — the point of the rank-floor merge —
-// how many result entries actually cross the shard boundary versus the
-// naive full-k gather. Entries-transferred, short-circuits, escalations,
-// and the summed refinement counters are deterministic for a fixed seed
-// (serial per-shard pools, index-free Dynamic engine), so benchdiff gates
-// them machine-independently; the latency column carries wall-clock noise
-// and is gated laxly.
+// latency across shard counts, and — the point of the merged k — how
+// many result entries actually cross the shard boundary versus the
+// naive full-k gather. Entries-transferred and the summed refinement
+// counters are deterministic for a fixed seed (serial per-shard pools,
+// index-free Dynamic engine), so benchdiff gates them
+// machine-independently; the latency column carries wall-clock noise and
+// is gated laxly.
 func (r *Runner) ServingCluster() (*stats.Table, error) {
-	t := stats.NewTable("Serving from a sharded cluster: rank-floor scatter-gather vs naive full-k gather (Dynamic)",
+	t := stats.NewTable("Serving from a sharded cluster: merged-k scatter vs naive full-k gather (Dynamic)",
 		"dataset", "partitioner", "shards", "mean (ms)",
 		"transferred (entries)", "naive gather (entries)", "saved (%)",
-		"short-circuited", "escalations", "refinements")
+		"refinements")
 	k := maxK(r.cfg.Ks)
 	g := r.DBLP()
 	queries := workload.Random(g, r.cfg.Queries, r.cfg.Seed+43)
@@ -53,8 +53,7 @@ func (r *Runner) ServingCluster() (*stats.Table, error) {
 		t.Add("dblp", "degree", shards,
 			fmt.Sprintf("%.3f", 1000*mean),
 			ps.EntriesTransferred, ns.EntriesTransferred,
-			fmt.Sprintf("%.0f%%", saved),
-			ps.ShortCircuited, ps.Escalations, refinements)
+			fmt.Sprintf("%.0f%%", saved), refinements)
 		_ = pruned.Close()
 		_ = naive.Close()
 	}
@@ -99,8 +98,8 @@ func shardSweep(workers int) []int {
 	return sweep
 }
 
-// maxK returns the largest configured k: the regime where rank-floor
-// pruning has the most transfer to save.
+// maxK returns the largest configured k: the regime where the merged k
+// has the most transfer to save.
 func maxK(ks []int) int {
 	m := ks[0]
 	for _, k := range ks {

@@ -44,7 +44,7 @@ func (d *deadReplica) QueryBatch(ctx context.Context, a core.Algorithm, queries 
 func (r *Runner) ServingReplica() (*stats.Table, error) {
 	t := stats.NewTable("Serving from replica sets: transparent failover with one dead replica per shard group (Dynamic)",
 		"dataset", "shards", "replicas", "mean (ms)",
-		"failovers", "transferred (entries)", "short-circuited", "refinements")
+		"failovers", "transferred (entries)", "refinements")
 	k := maxK(r.cfg.Ks)
 	g := r.DBLP()
 	queries := workload.Random(g, r.cfg.Queries, r.cfg.Seed+47)
@@ -88,7 +88,7 @@ func (r *Runner) ServingReplica() (*stats.Table, error) {
 		t.Add("dblp", shards, 2,
 			fmt.Sprintf("%.3f", 1000*mean),
 			om.ReplicaFailovers.Value(),
-			cs.EntriesTransferred, cs.ShortCircuited, refinements)
+			cs.EntriesTransferred, refinements)
 		_ = coord.Close()
 	}
 	t.Note("%d queries per point, k=%d; replica 0 of every group is dead, results stay byte-identical and non-Partial", len(queries), k)

@@ -32,16 +32,14 @@ type Metrics struct {
 	CacheEvictions *Counter
 
 	// Scatter-gather cluster.
-	ClusterQueries        *Counter
-	ClusterPartials       *Counter
-	ClusterEscalations    *Counter
-	ClusterShortCircuited *Counter
-	ClusterTransferred    *Counter
-	ClusterShardFailures  *Counter
-	ClusterBatches        *Counter
-	ClusterBatchRPCs      *Counter
-	ClusterBatchQueries   *Counter
-	SkewRetries           *Counter
+	ClusterQueries       *Counter
+	ClusterPartials      *Counter
+	ClusterTransferred   *Counter
+	ClusterShardFailures *Counter
+	ClusterBatches       *Counter
+	ClusterBatchRPCs     *Counter
+	ClusterBatchQueries  *Counter
+	SkewRetries          *Counter
 
 	// Live mutation pipeline.
 	MutationBatches      *Counter
@@ -109,10 +107,6 @@ func NewMetrics(r *Registry) *Metrics {
 		"Scatter-gather queries coordinated.")
 	m.ClusterPartials = r.NewCounter("rkranks_cluster_partials_total",
 		"Coordinated queries answered Partial (at least one shard missing).")
-	m.ClusterEscalations = r.NewCounter("rkranks_cluster_escalations_total",
-		"Second-round shard escalations (rank floor not certified at reduced k).")
-	m.ClusterShortCircuited = r.NewCounter("rkranks_cluster_shards_short_circuited_total",
-		"Shards certified by the rank floor and skipped in round two.")
 	m.ClusterTransferred = r.NewCounter("rkranks_cluster_entries_transferred_total",
 		"Result entries moved coordinator-ward across all rounds.")
 	m.ClusterShardFailures = r.NewCounter("rkranks_cluster_shard_failures_total",

@@ -37,7 +37,6 @@ func buildCatalog() *Registry {
 	m.CacheHits.Add(2)
 	m.CacheMisses.Inc()
 	m.ClusterQueries.Inc()
-	m.ClusterShortCircuited.Add(3)
 	m.SkewRetries.Inc()
 	m.MutationBatches.Inc()
 	m.MutationOps.Add(5)

@@ -22,10 +22,9 @@ const (
 	StageCacheLookup
 	// StageCacheFlight is the wait for a coalesced singleflight to finish.
 	StageCacheFlight
-	// StageScatterRound1 is the first scatter-gather round at reduced k.
-	StageScatterRound1
-	// StageScatterRound2 is the escalation round at full k.
-	StageScatterRound2
+	// StageScatter is the coordinator's scatter-gather: one call per
+	// shard, with a child span per shard.
+	StageScatter
 	// StageEngineRefine is engine dispatch for non-label algorithms.
 	StageEngineRefine
 	// StageLabelScan is engine dispatch for HubLabel queries (label scan
@@ -44,8 +43,7 @@ var stageNames = [NumStages]string{
 	"admission",
 	"cache.lookup",
 	"cache.flight",
-	"scatter.round1",
-	"scatter.round2",
+	"scatter",
 	"engine.refine",
 	"label.scan",
 	"live.snapshot",

@@ -10,14 +10,13 @@ import (
 
 func TestStageNames(t *testing.T) {
 	want := map[Stage]string{
-		StageAdmission:     "admission",
-		StageCacheLookup:   "cache.lookup",
-		StageCacheFlight:   "cache.flight",
-		StageScatterRound1: "scatter.round1",
-		StageScatterRound2: "scatter.round2",
-		StageEngineRefine:  "engine.refine",
-		StageLabelScan:     "label.scan",
-		StageLiveSnapshot:  "live.snapshot",
+		StageAdmission:    "admission",
+		StageCacheLookup:  "cache.lookup",
+		StageCacheFlight:  "cache.flight",
+		StageScatter:      "scatter",
+		StageEngineRefine: "engine.refine",
+		StageLabelScan:    "label.scan",
+		StageLiveSnapshot: "live.snapshot",
 	}
 	for s, name := range want {
 		if s.String() != name {
@@ -38,7 +37,7 @@ func TestTraceSpans(t *testing.T) {
 	sp.SetAttr("queued", 1)
 	tr.End(sp)
 
-	sp2 := tr.BeginShard(StageScatterRound1, 3)
+	sp2 := tr.BeginShard(StageScatter, 3)
 	tr.End(sp2)
 
 	spans := tr.Spans()
@@ -73,7 +72,7 @@ func TestTraceConcurrentShardSpans(t *testing.T) {
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			sp := tr.BeginShard(StageScatterRound1, shard)
+			sp := tr.BeginShard(StageScatter, shard)
 			sp.SetAttr("entries", int64(shard))
 			tr.End(sp)
 		}(shard)
@@ -166,7 +165,7 @@ func TestSpanZeroAlloc(t *testing.T) {
 		sp := got.Begin(StageEngineRefine)
 		sp.SetAttr("refinements", 42)
 		got.End(sp)
-		sp2 := got.BeginShard(StageScatterRound1, 1)
+		sp2 := got.BeginShard(StageScatter, 1)
 		got.End(sp2)
 	})
 	if allocs != 0 {

@@ -146,8 +146,8 @@ func (m *metrics) observe(route string, status int, elapsed time.Duration, st *c
 		m.om.LabelFallbacks.Add(int64(st.LabelFallbacks))
 	}
 	if tr != nil {
-		// Parent spans only: a scatter round's per-shard child spans would
-		// otherwise mix single-RPC durations into the whole-round series.
+		// Parent spans only: a scatter's per-shard child spans would
+		// otherwise mix single-RPC durations into the whole-scatter series.
 		for _, sp := range tr.Spans() {
 			if sp.Shard < 0 {
 				m.om.StageSeconds[sp.Stage].Observe(sp.Duration().Seconds())

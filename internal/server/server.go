@@ -876,7 +876,7 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, start time.Time
 // stage histograms, engine counter mirror), the flight recorder (which
 // copies the trace, so the handler's deferred Release is safe), and the
 // access log with the trace-derived attrs — request_id always, the cache
-// decision and shard short-circuit counts when those stages ran.
+// decision when that stage ran.
 func (s *Server) observe(r *http.Request, start time.Time, status int, st *core.Stats, okQueries int, extra ...slog.Attr) {
 	elapsed := time.Since(start)
 	tr := obs.FromContext(r.Context())
@@ -914,9 +914,6 @@ func (s *Server) observe(r *http.Request, start time.Time, status int, st *core.
 					slog.Int64("cache_hits", hits),
 					slog.Int64("cache_misses", misses),
 					slog.Int64("cache_coalesced", coalesced))
-			}
-			if v, ok := tr.Attr(obs.StageScatterRound1, "short_circuited"); ok {
-				attrs = append(attrs, slog.Int64("shards_short_circuited", v))
 			}
 		}
 		attrs = append(attrs, extra...)

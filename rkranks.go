@@ -73,10 +73,10 @@
 // Beyond one process, NewCluster partitions the candidate class into
 // vertex shards — one masked engine pool each — behind a scatter-gather
 // coordinator whose merged results are byte-identical to a single pool's:
-// each shard prunes with the bounds of the whole candidate class, as one
-// node would, and its answer certifies that everything it withheld orders
-// after its rank floor or cannot reach the merged top k, so the
-// coordinator fetches only what the merged cutoff cannot exclude.
+// each query goes once to every shard at the client's k; each shard
+// prunes with the bounds of the whole candidate class, as one node
+// would, and returns every one of its own candidates that is in the
+// merged top k, so one merge is exact.
 // cmd/rkcluster serves the same coordinator over HTTP, with shards
 // in-process or on remote rkserve instances (rkserve -shard i/P); see the
 // README's "Clustered serving". Each shard may be a replica SET
@@ -101,7 +101,6 @@ import (
 	"rkranks/internal/graph"
 	"rkranks/internal/hub"
 	"rkranks/internal/live"
-	"rkranks/internal/ppr"
 	"rkranks/internal/rank"
 	"rkranks/internal/ridx"
 	"rkranks/internal/sssp"
@@ -150,13 +149,10 @@ type (
 	// Pool serves queries concurrently (one engine per permit); built with
 	// NewPoolWithIndex it serves Indexed queries against one shared index.
 	Pool = core.Pool
-	// Cluster scatters each query across vertex shards and merges the
-	// answers with rank-floor pruning; results are byte-identical to a
-	// single-node Pool (see NewCluster).
+	// Cluster scatters each query across vertex shards in one round and
+	// merges the answers; results are byte-identical to a single-node
+	// Pool (see NewCluster).
 	Cluster = cluster.Coordinator
-	// Floor is the certified withheld-candidate bound a Result exports
-	// for scatter-gather merging (Result.Floor).
-	Floor = core.Floor
 	// CachedBackend decorates a Pool or Cluster with a response cache and
 	// singleflight coalescing (see NewCachedBackend).
 	CachedBackend = cache.Backend
@@ -285,9 +281,6 @@ type ClusterOptions struct {
 	// byte-identical either way — and mutations fan to every replica in
 	// lockstep. See the README's "Replication & failover".
 	Replicas int
-	// FirstRoundK overrides the reduced first scatter round's per-shard k
-	// (0 = auto ceil(k/Shards)+2; >= k disables rank-floor pruning).
-	FirstRoundK int
 	// Live serves a MUTABLE graph: each shard becomes a live store and
 	// the cluster accepts Cluster.Mutate batches, fanned to every shard
 	// in lockstep. Queries refuse to merge answers from two graph
@@ -303,10 +296,12 @@ type ClusterOptions struct {
 // NewCluster builds an in-process sharded cluster over g: one masked
 // engine pool per vertex shard behind a scatter-gather coordinator whose
 // merged results are byte-identical to a single-node pool's — entries,
-// ranks, and tie-breaks included — while each shard refines only its own
-// candidates. The same coordinator type also fronts remote rkserve shards
-// (see cmd/rkcluster); this constructor covers the in-process topology,
-// the natural first step before splitting shards across machines.
+// ranks, and tie-breaks included. Each query makes one call per shard at
+// its k; each shard bounds the whole candidate class as one node would,
+// so it does about one node's work per query, and returns every one of
+// its own candidates that is in the merged top k. The same coordinator
+// type also fronts remote rkserve shards (see cmd/rkcluster); this
+// constructor covers the in-process topology.
 //
 // With ClusterOptions.Live, shards are live stores instead of static
 // pools and the coordinator accepts mutation batches (Cluster.Mutate).
@@ -324,10 +319,7 @@ func NewCluster(g *Graph, opts Options, co ClusterOptions) (*Cluster, error) {
 	if err != nil {
 		return nil, optErr("%s", err)
 	}
-	cfg := cluster.Config{
-		StrictConsistency: co.StrictConsistency,
-		FirstRoundK:       co.FirstRoundK,
-	}
+	cfg := cluster.Config{StrictConsistency: co.StrictConsistency}
 	if co.Live {
 		indexMaxK := 0
 		if co.Index != nil {
@@ -766,25 +758,6 @@ func ReverseKRanks(g *Graph, q int32, k int) ([]Entry, error) {
 		return nil, err
 	}
 	return res.Entries, nil
-}
-
-// PPRParams configures Personalized-PageRank proximity (see ReverseKRanksPPR).
-type PPRParams = ppr.Params
-
-// PersonalizedPageRank computes the PPR vector of source (power iteration,
-// weight-proportional transitions, dangling mass teleports to the source).
-func PersonalizedPageRank(g *Graph, source int32, p PPRParams) ([]float64, error) {
-	return ppr.Scores(g, source, p)
-}
-
-// ReverseKRanksPPR answers a reverse k-ranks query under Personalized
-// PageRank proximity instead of shortest-path distance — the extension the
-// paper's conclusion lists as future work. This is a reference (brute
-// force) implementation: PPR is not a metric, so none of the SDS-tree
-// pruning bounds apply; cost is O(|V|) power iterations per query. Use it
-// as an oracle or on small graphs.
-func ReverseKRanksPPR(g *Graph, q int32, k int, p PPRParams) ([]Entry, error) {
-	return ppr.ReverseKRanks(g, q, k, p)
 }
 
 // Rank computes Rank(src, dst): 1 plus the number of nodes strictly closer

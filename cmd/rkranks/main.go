@@ -167,17 +167,20 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-func obtainIndex(o *cliOptions, g *graph.Graph, stdout io.Writer) (ridx.Index, error) {
+// obtainIndex loads the -loadindex file, or builds an index from the
+// -h, -m, -kmax and -hubs flags on all cores.
+func obtainIndex(o *cliOptions, g *graph.Graph, stdout io.Writer) (*ridx.ShardedIndex, error) {
 	if o.loadIndex != "" {
 		f, err := os.Open(o.loadIndex)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
-		ix, err := ridx.Read(f)
+		snap, err := ridx.Read(f)
 		if err != nil {
 			return nil, fmt.Errorf("loading index: %w", err)
 		}
+		ix := snap.Sharded()
 		fmt.Fprintf(stdout, "loaded index from %s (%d entries)\n", o.loadIndex, ix.Entries())
 		return ix, nil
 	}
@@ -195,7 +198,7 @@ func obtainIndex(o *cliOptions, g *graph.Graph, stdout io.Writer) (ridx.Index, e
 	}
 	fmt.Fprintf(stdout, "building index (H=%d, M=%d, K=%d, %s hubs)...\n", h, m, o.kmax, st)
 	start := time.Now()
-	ix, err := ridx.BuildParallel(g, ridx.BuildParams{
+	ix, err := ridx.BuildSharded(g, ridx.BuildParams{
 		Hubs: hub.Select(g, st, h, hub.Options{Seed: o.seed}),
 		M:    m, K: o.kmax,
 	}, 0)

@@ -420,8 +420,8 @@ func bootstrapFollowerIndex(ctx context.Context, base string, logger *slog.Logge
 	}
 }
 
-// loadOrBuildIndex resolves the index flags to a concurrency-safe index
-// (nil when serving index-free).
+// loadOrBuildIndex resolves the index flags to an index (nil when serving
+// index-free).
 func loadOrBuildIndex(g *graph.Graph, path string, build bool, h, m float64, k int, seed int64, logger *slog.Logger) (*ridx.ShardedIndex, error) {
 	switch {
 	case path != "" && build:
@@ -432,10 +432,11 @@ func loadOrBuildIndex(g *graph.Graph, path string, build bool, h, m float64, k i
 			return nil, err
 		}
 		defer f.Close()
-		ix, err := ridx.ReadSharded(f)
+		snap, err := ridx.Read(f)
 		if err != nil {
 			return nil, err
 		}
+		ix := snap.Sharded()
 		logger.Info("index loaded", slog.String("path", path), slog.Int("max_k", ix.MaxK()))
 		return ix, nil
 	case !build:

@@ -27,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ix, err := rkranks.NewConcurrentIndex(g, rkranks.IndexParams{
+	ix, err := rkranks.BuildIndex(g, rkranks.IndexParams{
 		HubFraction: 0.1, RankFraction: 0.1, MaxK: 50,
 		Strategy: rkranks.DegreeHubs,
 	})

@@ -25,11 +25,10 @@ func main() {
 	// users, preferential attachment, weighted ties.
 	g := socialGraph(4000, 5, 42)
 
-	// Build the shared index once at startup. NewConcurrentIndex uses all
-	// cores and returns the lock-striped implementation a pool may share;
-	// Concurrent() distinguishes it from a BuildIndex result.
+	// Build the shared index once at startup. BuildIndex uses all cores
+	// and returns a lock-striped index the whole pool may share.
 	start := time.Now()
-	ix, err := rkranks.NewConcurrentIndex(g, rkranks.IndexParams{
+	ix, err := rkranks.BuildIndex(g, rkranks.IndexParams{
 		HubFraction:  0.1,
 		RankFraction: 0.1,
 		MaxK:         50,
@@ -38,8 +37,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("index: %d entries (~%d KB), concurrent=%v, built in %v\n",
-		ix.Entries(), ix.SizeBytes()/1024, ix.Concurrent(), time.Since(start).Round(time.Millisecond))
+	fmt.Printf("index: %d entries (~%d KB), built in %v\n",
+		ix.Entries(), ix.SizeBytes()/1024, time.Since(start).Round(time.Millisecond))
 
 	// One pool, one shared index, GOMAXPROCS engines.
 	pool, err := rkranks.NewPoolWithIndex(g, rkranks.Options{}, 0, ix)
@@ -113,9 +112,8 @@ func main() {
 	fmt.Printf("avg %.2f refinements/query; index grew to %d entries from query feedback\n",
 		float64(refinements.Load())/float64(served.Load()), ix.Entries())
 
-	// The index survives restarts: the on-disk format is shared between
-	// implementations, so a serial build can be served concurrently later.
-	fmt.Println("\n(SaveIndex + LoadConcurrentIndex persists the learned index across restarts)")
+	// The index survives restarts, learned entries included.
+	fmt.Println("\n(SaveIndex + LoadIndex persists the learned index across restarts)")
 }
 
 // socialGraph grows a preferential-attachment graph: each newcomer links

@@ -112,7 +112,7 @@ type ReplicationSnapshot struct {
 }
 
 // IndexSnapshot fetches the leader's index snapshot. The returned body
-// streams the shared ridx on-disk format (parse with ridx.ReadSharded);
+// streams the ridx on-disk format (parse with ridx.Read);
 // the caller must close it. seq is the delta cursor to resume from and
 // gen the leader's index generation at snapshot time.
 func (c *Client) IndexSnapshot(ctx context.Context) (body io.ReadCloser, seq, gen uint64, err error) {

@@ -57,9 +57,9 @@ type LocalShard struct {
 // shard, intersected with opts.Candidates when the caller is already
 // bichromatic; opts.Candidates itself becomes the cluster's class
 // (core.Options.ClusterCandidates) that merged-k queries bound. ix, when
-// non-nil, must be a concurrency-safe index covering g; passing the SAME
-// index to every local shard is both safe and desirable — all shards then
-// feed one set of dictionaries, exactly like a single-node pool.
+// non-nil, must cover g; passing the SAME index to every local shard is
+// both safe and desirable — all shards then feed one set of dictionaries,
+// exactly like a single-node pool.
 func NewLocalShard(g *graph.Graph, opts core.Options, part Partitioner, shards, shard, poolSize int, ix ridx.Index) (*LocalShard, error) {
 	mask, err := ShardMask(g, part, shards, shard, opts.Candidates)
 	if err != nil {

@@ -228,7 +228,7 @@ func NewLocal(g *graph.Graph, opts core.Options, part Partitioner, shards, poolS
 
 // NewLocalLive builds an in-process MUTABLE cluster: one live store per
 // vertex shard over g, each owning its masked candidate class, pool, and
-// (when indexMaxK > 0) its own empty concurrency-safe index that learns
+// (when indexMaxK > 0) its own empty index that learns
 // from the shard's traffic. base carries the shared live configuration;
 // its Index and CandidateFunc fields are overwritten per shard (live
 // shards cannot share one index — each store swaps in a fresh one on

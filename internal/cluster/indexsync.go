@@ -29,11 +29,11 @@ func BootstrapIndex(ctx context.Context, client *api.Client, logCap int) (*ridx.
 		return nil, 0, 0, fmt.Errorf("cluster: index snapshot fetch: %w", err)
 	}
 	defer body.Close()
-	sh, err := ridx.ReadSharded(body)
+	snap, err := ridx.Read(body)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("cluster: index snapshot parse: %w", err)
 	}
-	repl := ridx.NewReplicated(sh, logCap)
+	repl := ridx.NewReplicated(snap.Sharded(), logCap)
 	repl.RaiseGeneration(gen)
 	return repl, seq, gen, nil
 }
@@ -91,7 +91,10 @@ func NewIndexFollower(repl *ridx.Replicated, client *api.Client, cursor, leaderG
 func (f *IndexFollower) Cursor() uint64 { return f.cursor }
 
 // SyncOnce drains the leader's available deltas (possibly over several
-// batches), returning how many were fetched and applied.
+// batches), returning how many were fetched and applied. A batch or
+// snapshot that does not fit the local index (a leader serving another
+// graph) fails the call before changing the index or the cursor, so the
+// follower keeps serving and retries on the next poll.
 func (f *IndexFollower) SyncOnce(ctx context.Context) (applied int, err error) {
 	for {
 		if ctx.Err() != nil {
@@ -111,7 +114,9 @@ func (f *IndexFollower) SyncOnce(ctx context.Context) (applied int, err error) {
 		if err != nil {
 			return applied, err
 		}
-		f.repl.Apply(ds)
+		if _, err := f.repl.Apply(ds); err != nil {
+			return applied, fmt.Errorf("cluster: index deltas: %w", err)
+		}
 		f.repl.RaiseGeneration(resp.IndexGeneration)
 		f.om.IndexDeltasApplied.Add(int64(len(ds)))
 		applied += len(ds)
@@ -133,6 +138,11 @@ func (f *IndexFollower) resync(ctx context.Context) error {
 	snap, err := ridx.Read(body)
 	if err != nil {
 		return fmt.Errorf("cluster: index re-sync parse: %w", err)
+	}
+	if snap.N() != f.repl.N() {
+		// Checked before the discard below, which a snapshot that cannot
+		// be absorbed must not trigger.
+		return fmt.Errorf("cluster: index re-sync: snapshot covers %d nodes, index %d: %w", snap.N(), f.repl.N(), ridx.ErrFormat)
 	}
 	// A re-sync at the leader generation we last synced against (log
 	// truncation) merges: every fact both sides hold is exact, so local
@@ -158,7 +168,9 @@ func (f *IndexFollower) resync(ctx context.Context) error {
 	} else {
 		f.lastResyncGen, f.resyncsAtGen = gen, 1
 	}
-	f.repl.Absorb(snap)
+	if _, err := f.repl.Absorb(snap); err != nil {
+		return fmt.Errorf("cluster: index re-sync: %w", err)
+	}
 	f.repl.RaiseGeneration(gen)
 	f.cursor = seq
 	f.leaderGen = gen

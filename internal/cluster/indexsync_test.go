@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"net/http/httptest"
 	"testing"
 
@@ -48,7 +50,7 @@ func indexStatesEqual(t *testing.T, got, want ridx.Index) {
 		}
 	}
 	for v := int32(0); v < int32(want.N()); v++ {
-		g, w := got.Reverse(v), want.Reverse(v)
+		g, w := got.Reverse(v, nil), want.Reverse(v, nil)
 		if len(g) != len(w) {
 			t.Fatalf("Reverse(%d): %v vs %v", v, g, w)
 		}
@@ -131,6 +133,41 @@ func TestIndexFollowerEndToEnd(t *testing.T) {
 	}
 	if om.IndexSnapshotsLoaded.Value() < 1 {
 		t.Error("generation change did not trigger a snapshot re-sync")
+	}
+}
+
+// TestIndexFollowerRejectsOtherGraph: a leader serving a larger graph
+// (say, restarted on another file) sends deltas and snapshots naming
+// nodes the follower does not have. Each sync fails with ridx.ErrFormat
+// and leaves the follower's index, generation and cursor as they were, so
+// it keeps serving and retries. Unchecked, both paths panicked.
+func TestIndexFollowerRejectsOtherGraph(t *testing.T) {
+	leader, ts := bootIndexLeader(t, 0)
+	ctx := context.Background()
+	client := api.NewClient(ts.URL)
+	repl := ridx.NewReplicated(ridx.NewSharded(100, 50), 0)
+	teach(repl, 60, 7)
+	var before bytes.Buffer
+	if err := repl.Write(&before); err != nil {
+		t.Fatal(err)
+	}
+	gen := repl.Generation()
+	for name, f := range map[string]*IndexFollower{
+		"deltas":   NewIndexFollower(repl, client, leader.Seq(), leader.Generation(), IndexFollowerConfig{}),
+		"snapshot": NewIndexFollower(repl, client, 0, leader.Generation()+1, IndexFollowerConfig{}),
+	} {
+		cursor := f.Cursor()
+		leader.Offer(150, 199, 1) // a fact only the leader's graph can hold
+		if _, err := f.SyncOnce(ctx); !errors.Is(err, ridx.ErrFormat) {
+			t.Fatalf("%s: SyncOnce = %v, want ridx.ErrFormat", name, err)
+		}
+		var after bytes.Buffer
+		if err := repl.Write(&after); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before.Bytes(), after.Bytes()) || repl.Generation() != gen || f.Cursor() != cursor {
+			t.Fatalf("%s: a rejected sync changed the follower", name)
+		}
 	}
 }
 

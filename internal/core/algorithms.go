@@ -152,11 +152,11 @@ func (e *Engine) prune(v int32, d float64) bool {
 // left open: randomized checks with k equal to the index K have not found
 // a failure, and capping every full list doubles the refinements.
 func (e *Engine) evictionCap(check int32) int32 {
-	rev := e.idx.Reverse(e.q)
-	if len(rev) < e.idx.MaxK() {
+	e.rev = e.idx.Reverse(e.q, e.rev[:0])
+	if len(e.rev) < e.idx.MaxK() {
 		return check // nothing was ever evicted
 	}
-	return min(check, rev[len(rev)-1].Rank)
+	return min(check, e.rev[len(e.rev)-1].Rank)
 }
 
 // skipCandidate records a candidate disqualified by its lower bound lb;
@@ -185,7 +185,8 @@ func (e *Engine) skipCandidate(v int32, d float64, lb, sub int32) {
 // shadow heap) from the Reverse Rank Dictionary of the query node before
 // traversal starts (Algorithm 3, line 1).
 func (e *Engine) seedFromIndex() {
-	for _, en := range e.idx.Reverse(e.q) {
+	e.rev = e.idx.Reverse(e.q, e.rev[:0])
+	for _, en := range e.rev {
 		if (e.candidate(en.Node) || e.foreign(en.Node)) && e.offer(en.Node, en.Rank) {
 			e.stats.SeededFromIndex++
 			e.trace(en.Node, 0, TraceSeeded, en.Rank, false)

@@ -20,11 +20,9 @@ import (
 //
 // An Engine is not safe for concurrent use; create one per goroutine. An
 // attached index is both read and written by Indexed queries (that is the
-// point of the dynamic index): concurrent engines may share one index if
-// and only if it is a concurrency-safe implementation (ridx.ShardedIndex,
-// reported by Index.Concurrent) — a Pool built with NewPoolWithIndex
-// arranges exactly that. A ridx.SerialIndex must stay private to one
-// engine.
+// point of the dynamic index), and any number of engines may share one:
+// a ridx.ShardedIndex is safe for concurrent use, and a Pool built with
+// NewPoolWithIndex shares one between all its engines.
 type Engine struct {
 	g      *graph.Graph
 	opts   Options
@@ -44,6 +42,7 @@ type Engine struct {
 	lbseen  []uint32 // hub-label scan dedupe stamps (lazily allocated)
 	lbepoch uint32   // epoch for lbseen; bumped once per label scan
 	scratch []settleRec
+	rev     []rank.Entry // copy of the query node's Reverse Rank Dictionary list
 
 	heap   resultHeap
 	shadow resultHeap // best merged-k class ranks learned (merged-k queries only)

@@ -28,7 +28,7 @@ type decisionDataset struct {
 	g       *graph.Graph
 	opts    core.Options
 	queries []int32
-	index   *ridx.SerialIndex
+	index   *ridx.ShardedIndex
 }
 
 func decisionDatasets(t *testing.T) []decisionDataset {
@@ -123,7 +123,7 @@ func maskedDecisions(t *testing.T, b *strings.Builder, ds decisionDataset) {
 	const shards, mergedK = 2, 20
 	ctx := core.WithMergedK(context.Background(), mergedK)
 	for _, a := range []core.Algorithm{core.Static, core.Dynamic, core.Indexed, core.HubLabel} {
-		ix := ds.index.Clone()
+		ix := ds.index.Snapshot().Sharded()
 		for shard := 0; shard < shards; shard++ {
 			mask := make([]bool, ds.g.N())
 			for v := range mask {
@@ -169,9 +169,9 @@ func TestEngineDecisionsGolden(t *testing.T) {
 		for _, a := range []core.Algorithm{core.Static, core.Dynamic, core.Indexed, core.HubLabel} {
 			e := core.NewEngine(ds.g, ds.opts)
 			e.SetTracing(true)
-			var ix *ridx.SerialIndex
+			var ix *ridx.ShardedIndex
 			if a == core.Indexed {
-				ix = ds.index.Clone()
+				ix = ds.index.Snapshot().Sharded()
 				e.SetIndex(ix)
 			}
 			for _, q := range ds.queries {

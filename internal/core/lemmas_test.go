@@ -125,7 +125,7 @@ func TestCheckDictionaryBound(t *testing.T) {
 			// Skip pairs where enough better sources fill w's list: the
 			// certified semantics only promise the bound when u's absence
 			// is not due to eviction by maxK better entries.
-			if len(ix.Reverse(w)) >= ix.MaxK() {
+			if len(ix.Reverse(w, nil)) >= ix.MaxK() {
 				continue
 			}
 			truth := rank.Of(s, u, w)

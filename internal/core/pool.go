@@ -19,14 +19,13 @@ import (
 // The index-free algorithms (Naive, Static, Dynamic) only read the shared
 // graph and are always poolable. Indexed queries additionally read and
 // write their index — that is the point of the Section-5 dynamic index —
-// so they are accepted only when the pool was built over a concurrency-safe
-// index (NewPoolWithIndex with a ridx.ShardedIndex): all engines then share
-// that one index, and every query's refinements make it better for the
-// whole pool.
+// so they are accepted only when the pool was built over an index
+// (NewPoolWithIndex): all engines then share that one index, and every
+// query's refinements make it better for the whole pool.
 type Pool struct {
 	engines chan *Engine
 	g       *graph.Graph
-	idx     ridx.Index  // shared concurrency-safe index, nil for index-free pools
+	idx     ridx.Index  // shared index, nil for index-free pools
 	labels  *hub.Labels // shared read-only hub labeling (Options.Labels), nil without one
 
 	// Permit accounting: occupied counts engines currently borrowed, peak
@@ -47,19 +46,14 @@ func NewPool(g *graph.Graph, opts Options, size int) *Pool {
 
 // NewPoolWithIndex returns a pool whose engines share ix, making Indexed
 // the recommended algorithm for every query: concurrent queries all read
-// the same dictionaries and feed their refinements back into them. The
-// index must be concurrency-safe (ix.Concurrent(), i.e. a
-// ridx.ShardedIndex — build one with ridx.BuildSharded or convert a loaded
-// serial index with Sharded); a serial index is rejected rather than
-// silently racing.
+// the same dictionaries and feed their refinements back into them. Build
+// the index with ridx.BuildSharded, or load one with ridx.Read and
+// Snapshot.Sharded.
 func NewPoolWithIndex(g *graph.Graph, opts Options, size int, ix ridx.Index) (*Pool, error) {
 	// The type assertion also catches a typed-nil *ShardedIndex boxed in
 	// the interface, which would pass the plain nil check and panic later.
 	if sh, ok := ix.(*ridx.ShardedIndex); ix == nil || (ok && sh == nil) {
 		return nil, fmt.Errorf("core: NewPoolWithIndex requires an index; use NewPool for index-free pools")
-	}
-	if !ix.Concurrent() {
-		return nil, fmt.Errorf("core: pooled Indexed queries need a concurrency-safe index (ridx.ShardedIndex); this index must stay private to one engine")
 	}
 	if ix.N() != g.N() {
 		return nil, fmt.Errorf("core: index covers %d nodes, graph has %d", ix.N(), g.N())

@@ -69,13 +69,6 @@ func TestPoolRejectsIndexedWithoutIndex(t *testing.T) {
 
 func TestNewPoolWithIndexValidation(t *testing.T) {
 	g := gen.GNM(20, 40, false, 1)
-	serial, err := ridx.Build(g, ridx.BuildParams{Hubs: []int32{0, 1}, M: 5, K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewPoolWithIndex(g, Options{}, 2, serial); err == nil {
-		t.Error("pool accepted a serial (non-concurrent) index")
-	}
 	if _, err := NewPoolWithIndex(g, Options{}, 2, nil); err == nil {
 		t.Error("pool accepted a nil index")
 	}
@@ -91,7 +84,10 @@ func TestNewPoolWithIndexValidation(t *testing.T) {
 	if _, err := NewPoolWithIndex(g, Options{}, 2, wrong); err == nil {
 		t.Error("pool accepted an index over a different graph")
 	}
-	ok := serial.Clone().Sharded()
+	ok, err := ridx.Build(g, ridx.BuildParams{Hubs: []int32{0, 1}, M: 5, K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	pool, err := NewPoolWithIndex(g, Options{}, 2, ok)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +110,7 @@ func TestPoolIndexedMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := seed.Clone().Sharded()
+	shared := seed.Snapshot().Sharded()
 	pool, err := NewPoolWithIndex(g, Options{}, 8, shared)
 	if err != nil {
 		t.Fatal(err)

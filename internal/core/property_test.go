@@ -13,7 +13,7 @@ import (
 	tg "rkranks/internal/testgraphs"
 )
 
-func mustIndex(t testing.TB, g *graph.Graph) *ridx.SerialIndex {
+func mustIndex(t testing.TB, g *graph.Graph) *ridx.ShardedIndex {
 	t.Helper()
 	ix, err := ridx.Build(g, ridx.BuildParams{
 		Hubs: hub.Select(g, hub.DegreeFirst, g.N()/8+1, hub.Options{}),

@@ -46,7 +46,7 @@ func (r *Runner) Figure7() ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng.SetIndex(ix.Clone())
+		eng.SetIndex(ix.Snapshot().Sharded())
 		bi, err := runBatch(eng, core.Indexed, queries, k)
 		if err != nil {
 			return nil, err

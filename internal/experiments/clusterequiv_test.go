@@ -27,12 +27,12 @@ func TestFigure6QuerySetClusterEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		single, err := core.NewPoolWithIndex(g, core.Options{}, 2, seed.Clone().Sharded())
+		single, err := core.NewPoolWithIndex(g, core.Options{}, 2, seed.Snapshot().Sharded())
 		if err != nil {
 			t.Fatal(err)
 		}
 		coord, err := cluster.NewLocal(g, core.Options{}, cluster.DegreeBalanced{}, 4, 1,
-			seed.Clone().Sharded(), cluster.Config{})
+			seed.Snapshot().Sharded(), cluster.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

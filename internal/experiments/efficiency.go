@@ -44,7 +44,7 @@ func (r *Runner) Figure6() ([]*stats.Table, error) {
 			}
 			// Fresh index clone per k so one sweep point doesn't warm the
 			// next (the paper measures each setting independently).
-			eng.SetIndex(ix.Clone())
+			eng.SetIndex(ix.Snapshot().Sharded())
 			bi, err := runBatch(eng, core.Indexed, queries, k)
 			if err != nil {
 				return nil, err

@@ -36,7 +36,7 @@ func (r *Runner) Table14() (*stats.Table, error) {
 			var sumTime time.Duration
 			var sumRefine int64
 			for s := 0; s < splits; s++ {
-				eng.SetIndex(base.Clone()) // index reset for this split
+				eng.SetIndex(base.Snapshot().Sharded()) // index reset for this split
 				b, err := runBatch(eng, core.Indexed, queries[s*per:(s+1)*per], k)
 				if err != nil {
 					return nil, err

@@ -93,7 +93,7 @@ func (r *Runner) Road() (*graph.Graph, []int32) {
 // buildIndex constructs an index with the runner's default (or overridden)
 // parameters for the given graph. For bichromatic graphs pass the class
 // slices; only candidate hubs may contribute entries (see ridx).
-func (r *Runner) buildIndex(g *graph.Graph, hFrac, mFrac float64, strat hub.Strategy, candidates, counted []bool) (*ridx.SerialIndex, time.Duration, error) {
+func (r *Runner) buildIndex(g *graph.Graph, hFrac, mFrac float64, strat hub.Strategy, candidates, counted []bool) (*ridx.ShardedIndex, time.Duration, error) {
 	h := frac(g.N(), hFrac)
 	m := frac(g.N(), mFrac)
 	start := time.Now()

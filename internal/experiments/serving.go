@@ -35,7 +35,7 @@ func (r *Runner) Serving() (*stats.Table, error) {
 		queries := workload.Random(g, 8*r.cfg.Queries, r.cfg.Seed+23)
 		var base float64
 		for _, workers := range sweep {
-			shared := seed.Clone().Sharded()
+			shared := seed.Snapshot().Sharded()
 			pool, err := core.NewPoolWithIndex(g, core.Options{}, workers, shared)
 			if err != nil {
 				return nil, err

@@ -31,7 +31,7 @@ func (r *Runner) ServingHTTP() (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	shared := seed.Clone().Sharded()
+	shared := seed.Snapshot().Sharded()
 	pool, err := core.NewPoolWithIndex(g, core.Options{}, r.cfg.Workers, shared)
 	if err != nil {
 		return nil, err

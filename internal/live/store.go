@@ -76,10 +76,10 @@ type Config struct {
 	Options core.Options
 	// PoolSize sizes each state's engine pool (<= 0 derives a default).
 	PoolSize int
-	// Index optionally attaches a concurrency-safe dynamic index,
-	// enabling Indexed queries. Weight-only batches invalidate it in
-	// place; topology changes replace it with an empty index of the same
-	// MaxK (it re-learns from traffic, exactly like a cold start).
+	// Index optionally attaches a dynamic index, enabling Indexed
+	// queries. Weight-only batches invalidate it in place; topology
+	// changes replace it with an empty index of the same MaxK (it
+	// re-learns from traffic, exactly like a cold start).
 	Index ridx.Index
 	// Labels optionally attaches a hub labeling, enabling HubLabel
 	// queries. See RelabelParams for what happens under churn.
@@ -175,13 +175,8 @@ func NewStore(g *graph.Graph, cfg Config) (*Store, error) {
 	if g == nil {
 		return nil, fmt.Errorf("live: NewStore requires a graph")
 	}
-	if cfg.Index != nil {
-		if !cfg.Index.Concurrent() {
-			return nil, fmt.Errorf("live: Config.Index must be concurrency-safe (ridx.ShardedIndex)")
-		}
-		if cfg.Index.N() != g.N() {
-			return nil, fmt.Errorf("live: index covers %d nodes, graph has %d", cfg.Index.N(), g.N())
-		}
+	if cfg.Index != nil && cfg.Index.N() != g.N() {
+		return nil, fmt.Errorf("live: index covers %d nodes, graph has %d", cfg.Index.N(), g.N())
 	}
 	if cfg.Labels != nil && cfg.Labels.N() != g.N() {
 		return nil, fmt.Errorf("live: labels cover %d nodes, graph has %d", cfg.Labels.N(), g.N())

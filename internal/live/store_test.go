@@ -26,14 +26,6 @@ func mustStore(t *testing.T, g *graph.Graph, cfg Config) *Store {
 
 func TestNewStoreValidation(t *testing.T) {
 	g := tg.Path(10)
-	// A serial index is not shareable across the pool.
-	serial, err := ridx.Build(g, ridx.BuildParams{Hubs: []int32{0}, M: 5, K: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewStore(g, Config{Index: serial}); err == nil {
-		t.Error("serial index accepted")
-	}
 	// Shape mismatches.
 	small := ridx.NewSharded(5, 8)
 	if _, err := NewStore(g, Config{Index: small}); err == nil {

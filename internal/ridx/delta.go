@@ -1,6 +1,7 @@
 package ridx
 
 import (
+	"fmt"
 	"io"
 	"sync"
 
@@ -141,7 +142,7 @@ func (r *Replicated) DeltasSince(since uint64, max int) (ds []Delta, next uint64
 // the delta cursor and generation a follower should resume from. The
 // sequence is read before the copy (see the type docs), so replaying
 // deltas from seq over the snapshot converges on the leader's state.
-func (r *Replicated) SnapshotState() (snap *SerialIndex, seq uint64, gen uint64) {
+func (r *Replicated) SnapshotState() (snap *Snapshot, seq uint64, gen uint64) {
 	seq = r.Seq()
 	gen = r.inner.Generation()
 	return r.inner.Snapshot(), seq, gen
@@ -156,8 +157,21 @@ func (r *Replicated) WriteSnapshot(w io.Writer) (seq uint64, gen uint64, err err
 
 // Apply replays a batch of deltas in order, reporting how many changed
 // the dictionaries. Applied changes are re-logged, so a follower can
-// itself lead further replicas.
-func (r *Replicated) Apply(ds []Delta) (applied int) {
+// itself lead further replicas. The whole batch is checked first: an
+// unknown op, a node outside [0, N()) or an offered rank below 1 fails
+// the call with an error wrapping ErrFormat, and nothing is applied.
+func (r *Replicated) Apply(ds []Delta) (applied int, err error) {
+	n := r.N()
+	for i, d := range ds {
+		switch {
+		case d.Op != DeltaOffer && d.Op != DeltaCheck:
+			return 0, fmt.Errorf("ridx: delta %d: unknown op %d: %w", i, d.Op, ErrFormat)
+		case d.V < 0 || int(d.V) >= n || d.U < 0 || int(d.U) >= n:
+			return 0, fmt.Errorf("ridx: delta %d: node out of range [0,%d) (v=%d u=%d): %w", i, n, d.V, d.U, ErrFormat)
+		case d.Op == DeltaOffer && d.R < 1:
+			return 0, fmt.Errorf("ridx: delta %d: offer of rank %d: %w", i, d.R, ErrFormat)
+		}
+	}
 	for _, d := range ds {
 		switch d.Op {
 		case DeltaOffer:
@@ -171,7 +185,7 @@ func (r *Replicated) Apply(ds []Delta) (applied int) {
 			}
 		}
 	}
-	return applied
+	return applied, nil
 }
 
 // Absorb merges every fact of a snapshot into the index: the full
@@ -179,8 +193,13 @@ func (r *Replicated) Apply(ds []Delta) (applied int) {
 // snapshot's check bounds are raised only after its witness entries are
 // offered, preserving the cross-dictionary invariant throughout.
 // Absorbing a snapshot of the same graph is always sound — facts are
-// exact and commute with local refinement — and idempotent.
-func (r *Replicated) Absorb(snap *SerialIndex) (applied int) {
+// exact and commute with local refinement — and idempotent. A snapshot
+// over a different node count fails with an error wrapping ErrFormat,
+// and nothing is applied.
+func (r *Replicated) Absorb(snap *Snapshot) (applied int, err error) {
+	if snap.N() != r.N() {
+		return 0, fmt.Errorf("ridx: snapshot covers %d nodes, index %d: %w", snap.N(), r.N(), ErrFormat)
+	}
 	for v, list := range snap.rrd {
 		for _, e := range list {
 			if r.Offer(int32(v), e.Node, e.Rank) {
@@ -194,7 +213,7 @@ func (r *Replicated) Absorb(snap *SerialIndex) (applied int) {
 			applied++
 		}
 	}
-	return applied
+	return applied, nil
 }
 
 // RaiseGeneration raises the index generation to at least gen,
@@ -237,7 +256,7 @@ func (r *Replicated) RaiseCheck(u, bound int32) {
 }
 
 // Reverse implements Index.
-func (r *Replicated) Reverse(v int32) []rank.Entry { return r.inner.Reverse(v) }
+func (r *Replicated) Reverse(v int32, dst []rank.Entry) []rank.Entry { return r.inner.Reverse(v, dst) }
 
 // LookupRank implements Index.
 func (r *Replicated) LookupRank(v, u int32) (int32, bool) { return r.inner.LookupRank(v, u) }
@@ -261,9 +280,6 @@ func (r *Replicated) SizeBytes() int64 { return r.inner.SizeBytes() }
 // Write implements Index (a consistent snapshot, no cursor; use
 // WriteSnapshot to also obtain the replication cursor).
 func (r *Replicated) Write(w io.Writer) error { return r.inner.Write(w) }
-
-// Concurrent implements Index.
-func (r *Replicated) Concurrent() bool { return true }
 
 // Generation implements Index.
 func (r *Replicated) Generation() uint64 { return r.inner.Generation() }

@@ -2,6 +2,7 @@ package ridx
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -10,13 +11,15 @@ import (
 
 // feed drives n pseudo-random exact facts through an index the way
 // query refinement would: offers, with an occasional check raise
-// justified by prior offers (witness-before-bound order).
+// justified by prior offers (witness-before-bound order). A pair's rank
+// is a function of the pair, as Rank(u, v) is: replicas converge only on
+// exact facts, whatever order concurrent writers offer them in.
 func feed(ix Index, n int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	nodes := int32(ix.N())
 	for i := 0; i < n; i++ {
 		v, u := rng.Int31n(nodes), rng.Int31n(nodes)
-		ix.Offer(v, u, 1+rng.Int31n(50))
+		ix.Offer(v, u, 1+(v*31+u*17)%50)
 		if i%7 == 0 {
 			ix.RaiseCheck(u, 1+rng.Int31n(20))
 		}
@@ -35,7 +38,7 @@ func stateEqual(t *testing.T, got, want Index) {
 		}
 	}
 	for v := int32(0); v < int32(want.N()); v++ {
-		g, w := got.Reverse(v), want.Reverse(v)
+		g, w := got.Reverse(v, nil), want.Reverse(v, nil)
 		if len(g) == 0 && len(w) == 0 {
 			continue
 		}
@@ -65,11 +68,11 @@ func TestReplicatedSnapshotDeltaReplay(t *testing.T) {
 	// Leader keeps learning after the snapshot was cut.
 	feed(leader, 300, 2)
 
-	sh, err := ReadSharded(&buf)
+	snap, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	follower := NewReplicated(sh, 0)
+	follower := NewReplicated(snap.Sharded(), 0)
 
 	// Drain in small batches to exercise the cursor arithmetic.
 	cursor := seq
@@ -82,7 +85,9 @@ func TestReplicatedSnapshotDeltaReplay(t *testing.T) {
 		if len(ds) == 0 {
 			break
 		}
-		follower.Apply(ds)
+		if _, err := follower.Apply(ds); err != nil {
+			t.Fatal(err)
+		}
 		cursor = next
 	}
 	stateEqual(t, follower, leader)
@@ -97,16 +102,18 @@ func TestReplicatedSnapshotDeltaReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh2, err := ReadSharded(&buf2)
+	snap2, err := Read(&buf2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	third := NewReplicated(sh2, 0)
+	third := NewReplicated(snap2.Sharded(), 0)
 	ds, _, ok := follower.DeltasSince(seq2, 0)
 	if !ok {
 		t.Fatalf("follower log unreadable from its own snapshot cursor %d", seq2)
 	}
-	third.Apply(ds)
+	if _, err := third.Apply(ds); err != nil {
+		t.Fatal(err)
+	}
 	stateEqual(t, third, leader)
 }
 
@@ -161,12 +168,12 @@ func TestAbsorbIdempotent(t *testing.T) {
 	snap, _, _ := leader.SnapshotState()
 
 	follower := NewReplicated(NewSharded(40, 6), 0)
-	if n := follower.Absorb(snap); n == 0 {
-		t.Fatal("first absorb applied nothing")
+	if n, err := follower.Absorb(snap); err != nil || n == 0 {
+		t.Fatalf("first absorb applied %d updates: %v", n, err)
 	}
 	stateEqual(t, follower, leader)
-	if n := follower.Absorb(snap); n != 0 {
-		t.Fatalf("second absorb applied %d updates, want 0", n)
+	if n, err := follower.Absorb(snap); err != nil || n != 0 {
+		t.Fatalf("second absorb applied %d updates, want 0: %v", n, err)
 	}
 	stateEqual(t, follower, leader)
 }
@@ -206,17 +213,23 @@ func TestReplicatedConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		snap, seq, _ := leader.SnapshotState()
-		follower.Absorb(snap)
+		if _, err := follower.Absorb(snap); err != nil {
+			t.Error(err)
+		}
 		cursor = seq
 		for i := 0; i < 50; i++ {
 			ds, next, ok := leader.DeltasSince(cursor, 64)
 			if !ok {
 				snap, seq, _ := leader.SnapshotState()
-				follower.Absorb(snap)
+				if _, err := follower.Absorb(snap); err != nil {
+					t.Error(err)
+				}
 				cursor = seq
 				continue
 			}
-			follower.Apply(ds)
+			if _, err := follower.Apply(ds); err != nil {
+				t.Error(err)
+			}
 			cursor = next
 		}
 	}()
@@ -231,8 +244,72 @@ func TestReplicatedConcurrent(t *testing.T) {
 		if len(ds) == 0 {
 			break
 		}
-		follower.Apply(ds)
+		if _, err := follower.Apply(ds); err != nil {
+			t.Fatal(err)
+		}
 		cursor = next
 	}
 	stateEqual(t, follower, leader)
+}
+
+// badDeltas do not fit a 10-node index. Applied unchecked, the first two
+// panicked with an index out of range, and the offers from node -1 and of
+// rank 0 were stored, after which the index's own Write no longer read
+// back.
+var badDeltas = []struct {
+	name string
+	d    Delta
+}{
+	{"offer to node 1000", Delta{Op: DeltaOffer, V: 1000, U: 1, R: 1}},
+	{"check of node 1000", Delta{Op: DeltaCheck, U: 1000, R: 3}},
+	{"offer from node -1", Delta{Op: DeltaOffer, V: 2, U: -1, R: 1}},
+	{"offer of rank 0", Delta{Op: DeltaOffer, V: 2, U: 1, R: 0}},
+	{"unknown op", Delta{Op: 9, V: 2, U: 1, R: 1}},
+}
+
+// twentyNodeSnapshot is a snapshot a 10-node index cannot absorb;
+// absorbed unchecked, it panicked with an index out of range.
+func twentyNodeSnapshot() *Snapshot {
+	ix := NewSharded(20, 4)
+	ix.Offer(15, 3, 1)
+	ix.RaiseCheck(19, 2)
+	return ix.Snapshot()
+}
+
+// TestReplicationRejectsBadInput: Apply and Absorb check their whole input
+// first; one bad update fails the call with ErrFormat and nothing, not
+// even the valid update before it in the batch, is applied or logged.
+func TestReplicationRejectsBadInput(t *testing.T) {
+	run := func(name string, call func(r *Replicated) error) {
+		t.Run(name, func(t *testing.T) {
+			r := NewReplicated(NewSharded(10, 4), 0)
+			r.Offer(0, 1, 1)
+			r.RaiseCheck(1, 2)
+			var before bytes.Buffer
+			if err := r.Write(&before); err != nil {
+				t.Fatal(err)
+			}
+			seq := r.Seq()
+			if err := call(r); !errors.Is(err, ErrFormat) {
+				t.Fatalf("got %v, want ErrFormat", err)
+			}
+			var after bytes.Buffer
+			if err := r.Write(&after); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before.Bytes(), after.Bytes()) || r.Seq() != seq {
+				t.Fatal("a rejected update changed the index or its log")
+			}
+		})
+	}
+	for _, c := range badDeltas {
+		run(c.name, func(r *Replicated) error {
+			_, err := r.Apply([]Delta{{Op: DeltaOffer, V: 3, U: 4, R: 2}, c.d})
+			return err
+		})
+	}
+	run("20-node snapshot", func(r *Replicated) error {
+		_, err := r.Absorb(twentyNodeSnapshot())
+		return err
+	})
 }

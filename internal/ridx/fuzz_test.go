@@ -35,23 +35,22 @@ func rkix1Files(tb testing.TB) map[string][]byte {
 }
 
 // TestIndexFormatCompat: committed files decode, and re-encode byte for
-// byte through both implementations.
+// byte, both from the decoded snapshot and from the index made of it.
 func TestIndexFormatCompat(t *testing.T) {
 	for name, data := range rkix1Files(t) {
-		ix, err := Read(bytes.NewReader(data))
+		snap, err := Read(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		sh, err := ReadSharded(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		var fromSnap, fromIndex bytes.Buffer
+		if err := snap.Write(&fromSnap); err != nil {
+			t.Fatal(err)
 		}
-		for _, back := range []Index{ix, sh} {
-			var buf bytes.Buffer
-			if err := back.Write(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), data) {
+		if err := snap.Sharded().Write(&fromIndex); err != nil {
+			t.Fatal(err)
+		}
+		for _, back := range [][]byte{fromSnap.Bytes(), fromIndex.Bytes()} {
+			if !bytes.Equal(back, data) {
 				t.Errorf("%s: re-encoding changed the bytes", name)
 			}
 		}
@@ -88,7 +87,7 @@ func encodedIndex(t *testing.T) (data []byte, firstList int) {
 func TestReadRejectsOutOfRangeEntry(t *testing.T) {
 	data, at := encodedIndex(t)
 	binary.LittleEndian.PutUint32(data[at+4:], 205)
-	if _, err := ReadSharded(bytes.NewReader(data)); !errors.Is(err, ErrFormat) {
+	if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrFormat) {
 		t.Fatalf("got %v, want ErrFormat", err)
 	}
 }
@@ -179,7 +178,7 @@ func FuzzReadIndex(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var ix *SerialIndex
+		var ix *Snapshot
 		var err error
 		used := allocated(func() { ix, err = Read(bytes.NewReader(data)) })
 		if budget := allocBudget(len(data)); used > budget {
@@ -200,5 +199,114 @@ func FuzzReadIndex(f *testing.F) {
 		if !bytes.HasPrefix(data, buf.Bytes()) {
 			t.Fatalf("re-encoding does not reproduce the input")
 		}
+	})
+}
+
+// deltaRecord is the fuzz encoding of one Delta: the op byte, then V, U
+// and R as little-endian int32.
+const deltaRecord = 13
+
+func encodeDeltas(ds ...Delta) []byte {
+	out := make([]byte, 0, deltaRecord*len(ds))
+	for _, d := range ds {
+		out = append(out, d.Op)
+		for _, x := range []int32{d.V, d.U, d.R} {
+			out = binary.LittleEndian.AppendUint32(out, uint32(x))
+		}
+	}
+	return out
+}
+
+func decodeDeltas(data []byte) []Delta {
+	ds := make([]Delta, len(data)/deltaRecord)
+	for i := range ds {
+		b := data[i*deltaRecord:]
+		word := func(j int) int32 { return int32(binary.LittleEndian.Uint32(b[1+4*j:])) }
+		ds[i] = Delta{Op: b[0], V: word(0), U: word(1), R: word(2)}
+	}
+	return ds
+}
+
+// fuzzFollower returns the 16-node, K = 4 index FuzzApplyDeltas feeds,
+// holding a few facts so that offers shift and evict.
+func fuzzFollower() *Replicated {
+	r := NewReplicated(NewSharded(16, 4), 0)
+	for u := int32(1); u <= 4; u++ {
+		r.Offer(0, u, u)
+	}
+	r.RaiseCheck(1, 3)
+	return r
+}
+
+func encoded(t *testing.T, ix Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ix.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkReplicationInput runs one Apply or Absorb call on r: it fails with
+// ErrFormat and leaves r's encoding unchanged, or it succeeds and r's
+// encoding survives Read → Write byte for byte.
+func checkReplicationInput(t *testing.T, r *Replicated, run func() error) {
+	t.Helper()
+	before := encoded(t, r)
+	if err := run(); err != nil {
+		if !errors.Is(err, ErrFormat) {
+			t.Fatalf("untyped error: %v", err)
+		}
+		if !bytes.Equal(encoded(t, r), before) {
+			t.Fatal("rejected input changed the index")
+		}
+		return
+	}
+	after := encoded(t, r)
+	snap, err := Read(bytes.NewReader(after))
+	if err != nil {
+		t.Fatalf("the index's own encoding does not read back: %v", err)
+	}
+	var again bytes.Buffer
+	if err := snap.Write(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), after) {
+		t.Fatal("Write → Read → Write changed the bytes")
+	}
+}
+
+// FuzzApplyDeltas feeds arbitrary replication input to a fresh follower:
+// the bytes as a delta list for Apply, and separately as an RKIX1 stream
+// for Absorb. Neither may panic, and each either rejects the input with
+// ErrFormat, changing nothing, or leaves an index that still encodes to
+// bytes Read accepts.
+func FuzzApplyDeltas(f *testing.F) {
+	f.Add(encodeDeltas(Delta{Op: DeltaOffer, V: 0, U: 9, R: 1}, Delta{Op: DeltaOffer, V: 5, U: 2, R: 3}, Delta{Op: DeltaCheck, U: 9, R: 4}))
+	for _, c := range badDeltas {
+		f.Add(encodeDeltas(c.d))
+	}
+	for _, snap := range []*Snapshot{fuzzFollower().Inner().Snapshot(), twentyNodeSnapshot()} {
+		var buf bytes.Buffer
+		if err := snap.Write(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := fuzzFollower()
+		checkReplicationInput(t, r, func() error {
+			_, err := r.Apply(decodeDeltas(data))
+			return err
+		})
+		snap, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return // FuzzReadIndex's ground
+		}
+		r = fuzzFollower()
+		checkReplicationInput(t, r, func() error {
+			_, err := r.Absorb(snap)
+			return err
+		})
 	})
 }

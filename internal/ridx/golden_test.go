@@ -15,8 +15,7 @@ import (
 // TestBuildIndexGolden pins the bytes every builder produces. Each hash is
 // the SHA-256 of the index's RKIX1 encoding, recorded from the Offer-loop
 // builders, so a change to the (rank, node) order, the Check bounds, the
-// hub list or the encoder shows here for Build, BuildParallel and
-// BuildSharded alike.
+// hub list or the encoder shows here for Build and BuildSharded alike.
 func TestBuildIndexGolden(t *testing.T) {
 	road, stores := gen.RoadNetwork(gen.RoadNetworkParams{Rows: 20, Cols: 20, Stores: 40, Seed: 3})
 	candidates, counted := gen.StoreClasses(road.N(), stores)
@@ -67,8 +66,6 @@ func TestBuildIndexGolden(t *testing.T) {
 			ix, err := Build(c.g, c.p)
 			check("Build", ix, err)
 			for _, workers := range []int{1, 2, 3} {
-				par, err := BuildParallel(c.g, c.p, workers)
-				check("BuildParallel", par, err)
 				sh, err := BuildSharded(c.g, c.p, workers)
 				check("BuildSharded", sh, err)
 			}

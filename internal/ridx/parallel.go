@@ -11,20 +11,20 @@ import (
 	"rkranks/internal/sssp"
 )
 
-// BuildParallel builds the same serial index as Build using worker
-// goroutines (workers <= 0 uses GOMAXPROCS). Each worker runs its share of
-// the hub searches into private per-node lists, sorted by (rank, node) and
-// capped at K; the workers' lists are then merged per node, in parallel,
-// into exact-size lists. The result is identical to Build's for any worker
+// BuildSharded builds the same index as Build using worker goroutines
+// (workers <= 0 uses GOMAXPROCS). Each worker runs its share of the hub
+// searches into private per-node lists, sorted by (rank, node) and capped
+// at K; the workers' lists are then merged per node, in parallel, into
+// exact-size lists. The result is identical to Build's for any worker
 // count or schedule: entries are exact (u, rank) facts, and the best K of
 // all offers are the best K of the workers' best K. Build memory is
 // O(workers × n × K), the workers' lists.
-func BuildParallel(g *graph.Graph, p BuildParams, workers int) (*SerialIndex, error) {
+func BuildSharded(g *graph.Graph, p BuildParams, workers int) (*ShardedIndex, error) {
 	if err := checkParams(p); err != nil {
 		return nil, err
 	}
 	n := g.N()
-	ix := New(n, p.K)
+	ix := NewSharded(n, p.K)
 	ix.hubs = p.eligibleHubs()
 	// Build's Offer drops a repeated hub's second round of offers; searching
 	// each hub once also keeps every (v, hub) pair in one worker's lists.
@@ -43,6 +43,8 @@ func BuildParallel(g *graph.Graph, p BuildParams, workers int) (*SerialIndex, er
 	for w := range cursors {
 		cursors[w] = make([]int, workers)
 	}
+	// No query can see the index before it is returned, so the lists are
+	// stored without the stripe locks.
 	parallel.For(workers, n, 256, func(w, v int) {
 		ix.rrd[v] = merge(parts, v, p.K, cursors[w])
 	})

@@ -7,8 +7,8 @@ import (
 	"rkranks/internal/hub"
 )
 
-// TestBuildParallelEquivalence: parallel construction must be
-// bit-identical to serial construction for any worker count.
+// TestBuildParallelEquivalence: the parallel builder, BuildSharded, must be
+// bit-identical to the serial Build for any worker count.
 func TestBuildParallelEquivalence(t *testing.T) {
 	g := gen.DBLPLike(gen.DBLPLikeParams{Nodes: 400, AttachPerNode: 4, Seed: 3})
 	params := BuildParams{
@@ -21,7 +21,7 @@ func TestBuildParallelEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 3, 8, 100} {
-		got, err := BuildParallel(g, params, workers)
+		got, err := BuildSharded(g, params, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -33,7 +33,7 @@ func TestBuildParallelEquivalence(t *testing.T) {
 			if got.Check(v) != want.Check(v) {
 				t.Fatalf("workers=%d: check[%d] %d vs %d", workers, v, got.Check(v), want.Check(v))
 			}
-			a, b := got.Reverse(v), want.Reverse(v)
+			a, b := got.Reverse(v, nil), want.Reverse(v, nil)
 			if len(a) != len(b) {
 				t.Fatalf("workers=%d: rrd[%d] size %d vs %d", workers, v, len(a), len(b))
 			}
@@ -48,14 +48,14 @@ func TestBuildParallelEquivalence(t *testing.T) {
 
 func TestBuildParallelValidation(t *testing.T) {
 	g := gen.GNM(10, 20, false, 1)
-	if _, err := BuildParallel(g, BuildParams{Hubs: []int32{0}, M: 0, K: 1}, 2); err == nil {
+	if _, err := BuildSharded(g, BuildParams{Hubs: []int32{0}, M: 0, K: 1}, 2); err == nil {
 		t.Error("M=0 accepted")
 	}
-	if _, err := BuildParallel(g, BuildParams{Hubs: []int32{0}, M: 1, K: 0}, 2); err == nil {
+	if _, err := BuildSharded(g, BuildParams{Hubs: []int32{0}, M: 1, K: 0}, 2); err == nil {
 		t.Error("K=0 accepted")
 	}
 	// Zero hubs is legal: an empty but usable index.
-	ix, err := BuildParallel(g, BuildParams{Hubs: nil, M: 1, K: 1}, 4)
+	ix, err := BuildSharded(g, BuildParams{Hubs: nil, M: 1, K: 1}, 4)
 	if err != nil || ix.Entries() != 0 {
 		t.Errorf("empty hub set: %v, %v", ix, err)
 	}
@@ -64,7 +64,7 @@ func TestBuildParallelValidation(t *testing.T) {
 func TestBuildParallelDefaultWorkers(t *testing.T) {
 	g := gen.GNM(50, 120, false, 2)
 	params := BuildParams{Hubs: []int32{1, 2, 3, 4, 5}, M: 10, K: 3}
-	ix, err := BuildParallel(g, params, 0)
+	ix, err := BuildSharded(g, params, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

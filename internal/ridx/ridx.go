@@ -8,28 +8,27 @@
 // every rank refinement performed by the indexed engine feeds its settled
 // nodes back into both dictionaries, so the index keeps getting better.
 //
-// Build runs the hub searches one after another through Offer.
-// BuildParallel and BuildSharded run them on worker goroutines, each into
-// private per-node top-K lists, and merge the lists per node in parallel;
-// their dictionaries are identical to Build's.
+// Build runs the hub searches one after another through Offer, the serial
+// reference. BuildSharded runs them on worker goroutines, each into
+// private per-node top-K lists, and merges the lists per node in parallel;
+// its dictionaries are identical to Build's.
 //
 // # Implementations and concurrency
 //
-// Index is an interface over two implementations sharing one on-disk
-// format:
-//
-//   - SerialIndex — the plain single-goroutine structure. Fastest for a
-//     dedicated engine; not safe for concurrent use.
-//   - ShardedIndex — lock-striped dictionaries (per-stripe RWMutex with
-//     copy-on-write entry lists, atomic Check bounds). Safe for any mix of
-//     concurrent readers and writers, so one index can back a whole pool
-//     of indexed engines and keep learning from all of them at once.
+// ShardedIndex is the one implementation of Index: lock-striped
+// dictionaries, one mutex per stripe guarding entry lists that Offer
+// edits in place, and atomic Check bounds. It is safe for any mix of
+// concurrent readers and writers, so one index can back a whole pool of
+// indexed engines and keep learning from all of them at once; a single
+// engine pays only uncontended locks. Snapshot is a plain copy of its
+// state: the form Read decodes and Write encodes, and the one a follower
+// absorbs.
 //
 // Dictionary updates commute: entries are exact (u, Rank(u, v)) facts kept
 // best-maxK by (rank, node), and Check bounds only grow. Interleaving
 // updates from concurrent queries therefore yields the same dictionaries
-// as any serial ordering of those updates — the sharded index accepts
-// writes from many engines without coordination beyond its stripes.
+// as any serial ordering of those updates — the index accepts writes from
+// many engines without coordination beyond its stripes.
 //
 // # Check Dictionary semantics
 //
@@ -56,11 +55,9 @@ import (
 	"rkranks/internal/sssp"
 )
 
-// Index is the two-dictionary structure of Section 5.2, as an interface
-// over the serial and sharded implementations. All methods operate on
-// exact facts (see the package docs), so every implementation answers
-// queries identically; they differ only in whether concurrent use is safe
-// (reported by Concurrent).
+// Index is the two-dictionary structure of Section 5.2. ShardedIndex
+// implements it, and Replicated wraps one through it. All methods operate
+// on exact facts (see the package docs) and are safe for concurrent use.
 type Index interface {
 	// MaxK returns the largest query k the index supports.
 	MaxK() int
@@ -74,11 +71,10 @@ type Index interface {
 	// RaiseCheck raises the Check Dictionary bound for u; bounds only grow
 	// (each recorded search certifies at least what previous ones did).
 	RaiseCheck(u, bound int32)
-	// Reverse returns the stored reverse-rank list of v, ordered by
-	// (rank, node). Callers must not modify the returned slice. For the
-	// serial index it aliases mutable storage and must not be held across
-	// Offer calls; the sharded index returns an immutable snapshot.
-	Reverse(v int32) []rank.Entry
+	// Reverse appends a copy of the stored reverse-rank list of v, ordered
+	// by (rank, node), to dst and returns the extended slice. The copy
+	// stays intact across later updates of v's list.
+	Reverse(v int32, dst []rank.Entry) []rank.Entry
 	// LookupRank returns Rank(u, v) when the pair is recorded.
 	LookupRank(v, u int32) (int32, bool)
 	// Offer records Rank(u, v) = r in the Reverse Rank Dictionary of v,
@@ -90,13 +86,8 @@ type Index interface {
 	Entries() int64
 	// SizeBytes estimates the in-memory footprint of the index payload.
 	SizeBytes() int64
-	// Write serializes the index; both implementations produce the same
-	// format, readable by Read (serial) or ReadSharded (sharded).
+	// Write serializes the index in the format Read decodes.
 	Write(w io.Writer) error
-	// Concurrent reports whether the index is safe for concurrent use by
-	// multiple engines (true only for ShardedIndex). Pools require it
-	// before accepting Indexed queries.
-	Concurrent() bool
 	// Generation is the index's answer-set generation, starting at 0.
 	// Ordinary refinement (Offer/RaiseCheck) never moves it: dictionary
 	// updates are monotone exact facts, so canonical query results are
@@ -114,31 +105,6 @@ type Index interface {
 	// as it did from a cold start. Canonical results are index-state
 	// independent, so answers stay byte-identical throughout.
 	Invalidate()
-}
-
-// SerialIndex is the single-goroutine Index implementation. It is not safe
-// for concurrent use: the indexed query engine both reads and writes it.
-// Use ShardedIndex (or SerialIndex.Sharded) to share an index between
-// engines.
-type SerialIndex struct {
-	maxK  int
-	hubs  []int32
-	check []int32
-	rrd   [][]rank.Entry
-	gen   uint64
-}
-
-// New returns an empty serial index over n nodes supporting reverse
-// k-ranks queries with k <= maxK.
-func New(n, maxK int) *SerialIndex {
-	if maxK < 1 {
-		panic("ridx: maxK must be >= 1")
-	}
-	return &SerialIndex{
-		maxK:  maxK,
-		check: make([]int32, n),
-		rrd:   make([][]rank.Entry, n),
-	}
 }
 
 // BuildParams configures Build.
@@ -161,14 +127,15 @@ type BuildParams struct {
 	Candidates []bool
 }
 
-// Build precomputes a serial index: an M-step ranked SSSP from every hub
-// (Section 5.2). The per-hub cost is O(M log M + E*) where E* is the number
-// of arcs incident to the M settled nodes.
-func Build(g *graph.Graph, p BuildParams) (*SerialIndex, error) {
+// Build precomputes an index serially: an M-step ranked SSSP from every
+// hub (Section 5.2), each result offered through ShardedIndex.Offer. The
+// per-hub cost is O(M log M + E*) where E* is the number of arcs incident
+// to the M settled nodes. It is the reference BuildSharded must match.
+func Build(g *graph.Graph, p BuildParams) (*ShardedIndex, error) {
 	if err := checkParams(p); err != nil {
 		return nil, err
 	}
-	ix := New(g.N(), p.K)
+	ix := NewSharded(g.N(), p.K)
 	ix.hubs = p.eligibleHubs()
 	s := sssp.New(g)
 	for _, h := range ix.hubs {
@@ -189,8 +156,8 @@ func (p BuildParams) eligibleHubs() []int32 {
 	return out
 }
 
-// sink receives a hub search's results: a SerialIndex in Build, a
-// worker's private lists in BuildParallel.
+// sink receives a hub search's results: the index in Build, a worker's
+// private lists in BuildSharded.
 type sink interface {
 	Offer(v, u, r int32) bool
 	RaiseCheck(u, bound int32)
@@ -240,60 +207,6 @@ func checkParams(p BuildParams) error {
 	return nil
 }
 
-// MaxK returns the largest query k the index supports.
-func (ix *SerialIndex) MaxK() int { return ix.maxK }
-
-// Hubs returns the hub nodes the index was built from.
-func (ix *SerialIndex) Hubs() []int32 { return ix.hubs }
-
-// N returns the number of nodes covered.
-func (ix *SerialIndex) N() int { return len(ix.check) }
-
-// Concurrent reports that a SerialIndex must not be shared between
-// goroutines.
-func (ix *SerialIndex) Concurrent() bool { return false }
-
-// Generation returns the answer-set generation (see Index.Generation).
-func (ix *SerialIndex) Generation() uint64 { return ix.gen }
-
-// BumpGeneration advances the answer-set generation.
-func (ix *SerialIndex) BumpGeneration() { ix.gen++ }
-
-// Invalidate clears both dictionaries and advances the generation (see
-// Index.Invalidate). MaxK and the hub list are preserved: they describe
-// the index's shape, not graph-dependent facts.
-func (ix *SerialIndex) Invalidate() {
-	for i := range ix.check {
-		ix.check[i] = 0
-	}
-	for i := range ix.rrd {
-		ix.rrd[i] = nil
-	}
-	ix.gen++
-}
-
-// Check returns the Check Dictionary bound for u (0 when u was never the
-// source of a recorded search).
-func (ix *SerialIndex) Check(u int32) int32 { return ix.check[u] }
-
-// RaiseCheck raises the Check Dictionary bound for u; bounds only grow
-// (each recorded search certifies at least what previous ones did).
-func (ix *SerialIndex) RaiseCheck(u, bound int32) {
-	if bound > ix.check[u] {
-		ix.check[u] = bound
-	}
-}
-
-// Reverse returns the stored reverse-rank list of v, ordered by
-// (rank, node). The returned slice aliases index storage; callers must not
-// modify it and must not hold it across Offer calls.
-func (ix *SerialIndex) Reverse(v int32) []rank.Entry { return ix.rrd[v] }
-
-// LookupRank returns Rank(u, v) when the pair is recorded.
-func (ix *SerialIndex) LookupRank(v, u int32) (int32, bool) {
-	return lookupRank(ix.rrd[v], u)
-}
-
 func lookupRank(list []rank.Entry, u int32) (int32, bool) {
 	for _, e := range list {
 		if e.Node == u {
@@ -321,119 +234,52 @@ func offerPos(list []rank.Entry, u, r int32) (pos int, dup bool) {
 	return pos, false
 }
 
-// offerToList merges (u, r) into a best-maxK entry list ordered by
-// (rank, node). When inPlace is true the input slice is mutated (serial
-// index); otherwise a changed list is a fresh allocation and the input is
-// left intact (copy-on-write for the sharded index, whose readers hold
-// published slices without locks). changed reports whether the dictionary
-// gained or reordered an entry.
-func offerToList(list []rank.Entry, u, r int32, maxK int, inPlace bool) (out []rank.Entry, changed bool) {
-	pos, dup := offerPos(list, u, r)
-	if dup || pos >= maxK {
-		return list, false
-	}
-	if inPlace {
-		if len(list) < maxK {
-			list = append(list, rank.Entry{})
-		}
-		copy(list[pos+1:], list[pos:])
-		list[pos] = rank.Entry{Node: u, Rank: r}
-		return list, true
-	}
-	n := len(list) + 1
-	if n > maxK {
-		n = maxK
-	}
-	fresh := make([]rank.Entry, n)
-	copy(fresh, list[:pos])
-	fresh[pos] = rank.Entry{Node: u, Rank: r}
-	copy(fresh[pos+1:], list[pos:])
-	return fresh, true
+// Snapshot is a plain copy of an index's state: what Read decodes,
+// ShardedIndex.Snapshot and Replicated.SnapshotState capture, and
+// Replicated.Absorb consumes. It is not an Index; Sharded turns it into
+// one.
+type Snapshot struct {
+	maxK  int
+	hubs  []int32
+	check []int32
+	rrd   [][]rank.Entry
 }
 
-// Offer records Rank(u, v) = r in the Reverse Rank Dictionary of v, keeping
-// only the best maxK entries ordered by (rank, node). Ranks are exact, so a
-// re-offered pair is ignored. It reports whether the dictionary changed.
-func (ix *SerialIndex) Offer(v, u, r int32) bool {
-	list, changed := offerToList(ix.rrd[v], u, r, ix.maxK, true)
-	if changed {
-		ix.rrd[v] = list
-	}
-	return changed
-}
+// N returns the number of nodes the snapshot covers.
+func (s *Snapshot) N() int { return len(s.check) }
 
-// Entries returns the total number of reverse-rank entries stored.
-func (ix *SerialIndex) Entries() int64 {
-	var n int64
-	for _, l := range ix.rrd {
-		n += int64(len(l))
-	}
-	return n
-}
-
-// SizeBytes estimates the in-memory footprint of the index payload
-// (dictionary entries and check bounds), mirroring the "Index Size" columns
-// of Tables 6-9.
-func (ix *SerialIndex) SizeBytes() int64 {
-	return sizeBytes(int64(len(ix.check)), ix.Entries())
-}
-
-func sizeBytes(n, entries int64) int64 {
-	const entryBytes = 8 // int32 node + int32 rank
-	return n*4 + entries*entryBytes + n*24
-}
-
-// Clone returns a deep copy; used by experiments that reset the index
-// between query batches (Table 14).
-func (ix *SerialIndex) Clone() *SerialIndex {
-	cp := &SerialIndex{
-		maxK:  ix.maxK,
-		hubs:  append([]int32(nil), ix.hubs...),
-		check: append([]int32(nil), ix.check...),
-		rrd:   make([][]rank.Entry, len(ix.rrd)),
-	}
-	for i, l := range ix.rrd {
-		if len(l) > 0 {
-			cp.rrd[i] = append([]rank.Entry(nil), l...)
-		}
-	}
-	return cp
-}
-
-// Sharded converts the index into a ShardedIndex safe for concurrent use,
-// taking ownership of the entry lists (the receiver must not be used
-// afterwards). The conversion is O(n) pointer moves, not a deep copy.
-func (ix *SerialIndex) Sharded() *ShardedIndex {
-	sh := newSharded(len(ix.check), ix.maxK)
-	sh.hubs = ix.hubs
-	copy(sh.check, ix.check)
-	copy(sh.rrd, ix.rrd)
-	ix.rrd = nil
-	return sh
+// Sharded turns the snapshot into a live index, taking ownership of its
+// entry lists (the snapshot must not be used afterwards). The conversion
+// is O(n) pointer moves, not a deep copy.
+func (s *Snapshot) Sharded() *ShardedIndex {
+	ix := NewSharded(len(s.check), s.maxK)
+	ix.hubs = s.hubs
+	copy(ix.check, s.check)
+	copy(ix.rrd, s.rrd)
+	s.rrd = nil
+	return ix
 }
 
 const indexMagic = "RKIX1\n"
 
-// ErrFormat is wrapped by every error Read and ReadSharded return for
-// input that is not a well-formed index.
+// ErrFormat is wrapped by every error Read returns for input that is not
+// a well-formed index, and by Replicated.Apply and Absorb for updates
+// that do not fit the index.
 var ErrFormat = errors.New("ridx: malformed index")
 
 // readChunk bounds how many bytes one read step allocates while a count
 // from an untrusted header is still unconfirmed by the input.
 const readChunk = 1 << 16
 
-// Write serializes the index.
-func (ix *SerialIndex) Write(w io.Writer) error {
-	return writeIndex(w, ix.maxK, ix.hubs, ix.check, ix.rrd, ix.Entries())
-}
-
-// writeIndex emits the shared on-disk format from raw dictionary state;
-// both implementations funnel through it (the sharded index passes a
-// consistent snapshot). The format is the magic, a header of four uint64
-// (K, nodes, hubs, entries), the hubs and Check bounds as int32, then per
-// node a uint32 length and that many (node, rank) int32 pairs, all
-// little-endian.
-func writeIndex(w io.Writer, maxK int, hubs, check []int32, rrd [][]rank.Entry, entries int64) error {
+// Write serializes the snapshot. The format is the magic, a header of
+// four uint64 (K, nodes, hubs, entries), the hubs and Check bounds as
+// int32, then per node a uint32 length and that many (node, rank) int32
+// pairs, all little-endian.
+func (s *Snapshot) Write(w io.Writer) error {
+	var entries int
+	for _, l := range s.rrd {
+		entries += len(l)
+	}
 	bw := bufio.NewWriter(w)
 	// A bufio.Writer's first error sticks: Flush reports it, so the
 	// writes below need no checks of their own.
@@ -443,16 +289,16 @@ func writeIndex(w io.Writer, maxK int, hubs, check []int32, rrd [][]rank.Entry, 
 		bw.Write(buf[:size])
 	}
 	bw.WriteString(indexMagic)
-	for _, h := range []uint64{uint64(maxK), uint64(len(check)), uint64(len(hubs)), uint64(entries)} {
+	for _, h := range []uint64{uint64(s.maxK), uint64(len(s.check)), uint64(len(s.hubs)), uint64(entries)} {
 		put(h, 8)
 	}
-	for _, h := range hubs {
+	for _, h := range s.hubs {
 		put(uint64(uint32(h)), 4)
 	}
-	for _, c := range check {
+	for _, c := range s.check {
 		put(uint64(uint32(c)), 4)
 	}
-	for _, l := range rrd {
+	for _, l := range s.rrd {
 		put(uint64(len(l)), 4)
 		for _, e := range l {
 			put(uint64(uint32(e.Node)), 4)
@@ -462,9 +308,8 @@ func writeIndex(w io.Writer, maxK int, hubs, check []int32, rrd [][]rank.Entry, 
 	return bw.Flush()
 }
 
-// Read deserializes an index written by Write (either implementation; the
-// on-disk format is shared). Use ReadSharded, or Sharded on the result, to
-// obtain a concurrency-safe index instead.
+// Read deserializes an index written by Write. Call Sharded on the result
+// to serve it.
 //
 // Input that is not a well-formed index fails with an error wrapping
 // ErrFormat: a truncated file, a header out of range, a hub or entry node
@@ -472,7 +317,7 @@ func writeIndex(w io.Writer, maxK int, hubs, check []int32, rrd [][]rank.Entry, 
 // node) order or repeating a node, or an entry count that disagrees with
 // the lists. Allocation grows with the bytes actually read, never with
 // the counts a header claims.
-func Read(r io.Reader) (*SerialIndex, error) {
+func Read(r io.Reader) (*Snapshot, error) {
 	d := &decoder{r: bufio.NewReader(r)}
 	hdr, err := d.next(len(indexMagic) + 4*8)
 	if err != nil {
@@ -501,10 +346,10 @@ func Read(r io.Reader) (*SerialIndex, error) {
 	if err != nil {
 		return nil, readErr("check bounds", err)
 	}
-	ix := &SerialIndex{maxK: int(maxK), hubs: hubs, check: check, rrd: make([][]rank.Entry, n)}
+	snap := &Snapshot{maxK: int(maxK), hubs: hubs, check: check, rrd: make([][]rank.Entry, n)}
 	seen := make([]int32, n) // seen[u] == v+1: u is already in v's list
 	var total uint64
-	for v := range ix.rrd {
+	for v := range snap.rrd {
 		b, err := d.next(4)
 		if err != nil {
 			return nil, readErr("list length", err)
@@ -535,13 +380,13 @@ func Read(r io.Reader) (*SerialIndex, error) {
 			seen[e.Node] = int32(v) + 1
 			list[i] = e
 		}
-		ix.rrd[v] = list
+		snap.rrd[v] = list
 		total += uint64(ln)
 	}
 	if total != entries {
 		return nil, fmt.Errorf("ridx: header claims %d entries, lists hold %d: %w", entries, total, ErrFormat)
 	}
-	return ix, nil
+	return snap, nil
 }
 
 // decoder reads the sections of an encoded index through one buffer.
@@ -585,14 +430,4 @@ func readErr(what string, err error) error {
 		return fmt.Errorf("ridx: reading %s: %w (%w)", what, io.ErrUnexpectedEOF, ErrFormat)
 	}
 	return fmt.Errorf("ridx: reading %s: %w", what, err)
-}
-
-// ReadSharded deserializes an index written by Write into a ShardedIndex
-// safe for concurrent use.
-func ReadSharded(r io.Reader) (*ShardedIndex, error) {
-	ix, err := Read(r)
-	if err != nil {
-		return nil, err
-	}
-	return ix.Sharded(), nil
 }

@@ -10,13 +10,13 @@ import (
 )
 
 func TestOfferOrderingAndCap(t *testing.T) {
-	ix := New(5, 3)
+	ix := NewSharded(5, 3)
 	v := int32(0)
 	ix.Offer(v, 10, 5)
 	ix.Offer(v, 11, 2)
 	ix.Offer(v, 12, 8)
 	ix.Offer(v, 13, 1) // evicts rank 8
-	got := ix.Reverse(v)
+	got := ix.Reverse(v, nil)
 	want := []rank.Entry{{Node: 13, Rank: 1}, {Node: 11, Rank: 2}, {Node: 10, Rank: 5}}
 	if len(got) != len(want) {
 		t.Fatalf("got %v", got)
@@ -32,30 +32,30 @@ func TestOfferOrderingAndCap(t *testing.T) {
 }
 
 func TestOfferDuplicateIgnored(t *testing.T) {
-	ix := New(3, 2)
+	ix := NewSharded(3, 2)
 	if !ix.Offer(0, 7, 3) {
 		t.Fatal("first offer rejected")
 	}
 	if ix.Offer(0, 7, 3) {
 		t.Error("duplicate offer accepted")
 	}
-	if len(ix.Reverse(0)) != 1 {
+	if len(ix.Reverse(0, nil)) != 1 {
 		t.Error("duplicate stored")
 	}
 }
 
 func TestOfferTieBreaksByNode(t *testing.T) {
-	ix := New(2, 2)
+	ix := NewSharded(2, 2)
 	ix.Offer(0, 9, 4)
 	ix.Offer(0, 3, 4)
-	got := ix.Reverse(0)
+	got := ix.Reverse(0, nil)
 	if got[0].Node != 3 || got[1].Node != 9 {
 		t.Errorf("tie order: %v", got)
 	}
 }
 
 func TestLookupRank(t *testing.T) {
-	ix := New(2, 4)
+	ix := NewSharded(2, 4)
 	ix.Offer(1, 5, 2)
 	if r, ok := ix.LookupRank(1, 5); !ok || r != 2 {
 		t.Errorf("LookupRank = %d/%v", r, ok)
@@ -69,7 +69,7 @@ func TestLookupRank(t *testing.T) {
 }
 
 func TestRaiseCheckMonotone(t *testing.T) {
-	ix := New(2, 2)
+	ix := NewSharded(2, 2)
 	ix.RaiseCheck(0, 5)
 	ix.RaiseCheck(0, 3) // lower: ignored
 	if c := ix.Check(0); c != 5 {
@@ -114,7 +114,7 @@ func TestBuildToyIndex(t *testing.T) {
 		tg.George:   {{Node: tg.Frank, Rank: 1}},
 	}
 	for node, want := range wantRRD {
-		got := ix.Reverse(node)
+		got := ix.Reverse(node, nil)
 		if len(got) != len(want) {
 			t.Errorf("RRD[%s] = %v, want %v", tg.ToyNames[node], got, want)
 			continue
@@ -149,8 +149,8 @@ func TestBuildSmallComponentExhausts(t *testing.T) {
 	if ix.Check(0) != int32(rank.Unreachable) {
 		t.Errorf("exhausted check = %d", ix.Check(0))
 	}
-	if len(ix.Reverse(1)) != 1 || ix.Reverse(1)[0].Rank != 1 {
-		t.Errorf("RRD[1] = %v", ix.Reverse(1))
+	if len(ix.Reverse(1, nil)) != 1 || ix.Reverse(1, nil)[0].Rank != 1 {
+		t.Errorf("RRD[1] = %v", ix.Reverse(1, nil))
 	}
 }
 
@@ -164,32 +164,8 @@ func TestBuildParamsValidation(t *testing.T) {
 	}
 }
 
-func TestNewPanicsOnBadK(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("New(maxK=0) did not panic")
-		}
-	}()
-	New(3, 0)
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	ix := New(3, 2)
-	ix.Offer(0, 1, 1)
-	ix.RaiseCheck(1, 4)
-	cp := ix.Clone()
-	cp.Offer(0, 2, 2)
-	cp.RaiseCheck(1, 9)
-	if len(ix.Reverse(0)) != 1 {
-		t.Error("clone mutation leaked into original RRD")
-	}
-	if ix.Check(1) != 4 {
-		t.Error("clone mutation leaked into original check dict")
-	}
-}
-
 func TestEntriesAndSize(t *testing.T) {
-	ix := New(4, 2)
+	ix := NewSharded(4, 2)
 	if ix.Entries() != 0 {
 		t.Error("fresh index has entries")
 	}
@@ -214,10 +190,11 @@ func TestSerializationRoundTrip(t *testing.T) {
 	if err := ix.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	snap, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := snap.Sharded()
 	if got.MaxK() != ix.MaxK() || got.N() != ix.N() || got.Entries() != ix.Entries() {
 		t.Fatalf("shape mismatch after round trip")
 	}
@@ -225,7 +202,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 		if got.Check(v) != ix.Check(v) {
 			t.Errorf("check[%d] %d vs %d", v, got.Check(v), ix.Check(v))
 		}
-		a, b := ix.Reverse(v), got.Reverse(v)
+		a, b := ix.Reverse(v, nil), got.Reverse(v, nil)
 		if len(a) != len(b) {
 			t.Fatalf("rrd[%d] length", v)
 		}

@@ -2,10 +2,10 @@ package ridx
 
 import (
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
-	"rkranks/internal/graph"
 	"rkranks/internal/rank"
 )
 
@@ -16,45 +16,42 @@ import (
 // for any realistic goroutine count.
 const stripeCount = 256
 
-// ShardedIndex is the concurrency-safe Index implementation: the Reverse
-// Rank Dictionary is guarded by per-stripe RWMutexes (stripe = node id mod
-// stripeCount) and the Check Dictionary by atomics.
+// ShardedIndex is the Index implementation: the Reverse Rank Dictionary
+// is guarded by per-stripe mutexes (stripe = node id mod stripeCount) and
+// the Check Dictionary by atomics.
 //
-// Entry lists are copy-on-write: Offer publishes a freshly allocated list
-// under the stripe's write lock and never mutates a published one, so the
-// slice Reverse returns is an immutable snapshot the caller may hold
-// across further index updates — exactly what the indexed engine needs
-// when it seeds a query's result heap while sibling queries keep writing.
+// Entry lists are edited in place under their stripe's lock, and every
+// read of a list takes the same lock: LookupRank scans it there, and
+// Reverse copies it out, so the caller's copy stays intact while sibling
+// queries keep writing. A full list shifts its tail out. A shorter list
+// grows into spare capacity it already has, and otherwise moves to the
+// smallest allocation one entry longer, so each list sits in the smallest
+// allocation that holds its entries.
 //
 // Check bounds are monotone (they only grow), so RaiseCheck is a CAS loop
 // and Check a plain atomic load. No lock covers both dictionaries; the one
 // cross-dictionary invariant — Check(u) bounds only pairs without a
 // recorded witness entry — is maintained by publication order instead:
 // writers offer witness entries before raising the bound they justify, and
-// readers applying a bound to a specific pair read Check before Reverse
-// (see Engine.refine and the indexed engine's candidate loop in core).
+// readers applying a bound to a specific pair read Check before
+// LookupRank (see the indexed engine's prune and applyRefineLog in core).
 type ShardedIndex struct {
 	maxK int
 	hubs []int32
 	// check is accessed only through atomic operations.
 	check []int32
-	// rrd[v] is guarded by mu[v%stripeCount]; published lists are
-	// immutable.
+	// rrd[v] is guarded by mu[v%stripeCount].
 	rrd [][]rank.Entry
-	mu  [stripeCount]sync.RWMutex
+	mu  [stripeCount]sync.Mutex
 	gen atomic.Uint64
 }
 
-// NewSharded returns an empty concurrency-safe index over n nodes
-// supporting reverse k-ranks queries with k <= maxK.
+// NewSharded returns an empty index over n nodes supporting reverse
+// k-ranks queries with k <= maxK.
 func NewSharded(n, maxK int) *ShardedIndex {
 	if maxK < 1 {
 		panic("ridx: maxK must be >= 1")
 	}
-	return newSharded(n, maxK)
-}
-
-func newSharded(n, maxK int) *ShardedIndex {
 	return &ShardedIndex{
 		maxK:  maxK,
 		check: make([]int32, n),
@@ -62,19 +59,8 @@ func newSharded(n, maxK int) *ShardedIndex {
 	}
 }
 
-// BuildSharded precomputes a concurrency-safe index with worker goroutines
-// (workers <= 0 uses GOMAXPROCS): BuildParallel's index, handed to Sharded.
-// Its dictionaries are identical to a serial Build's.
-func BuildSharded(g *graph.Graph, p BuildParams, workers int) (*ShardedIndex, error) {
-	ix, err := BuildParallel(g, p, workers)
-	if err != nil {
-		return nil, err
-	}
-	return ix.Sharded(), nil
-}
-
 // stripe returns the lock guarding node v's entry list.
-func (ix *ShardedIndex) stripe(v int32) *sync.RWMutex {
+func (ix *ShardedIndex) stripe(v int32) *sync.Mutex {
 	return &ix.mu[uint32(v)%stripeCount]
 }
 
@@ -87,10 +73,6 @@ func (ix *ShardedIndex) Hubs() []int32 { return ix.hubs }
 // N returns the number of nodes covered.
 func (ix *ShardedIndex) N() int { return len(ix.check) }
 
-// Concurrent reports that a ShardedIndex may be shared freely between
-// goroutines.
-func (ix *ShardedIndex) Concurrent() bool { return true }
-
 // Generation returns the answer-set generation (see Index.Generation).
 func (ix *ShardedIndex) Generation() uint64 { return ix.gen.Load() }
 
@@ -101,23 +83,31 @@ func (ix *ShardedIndex) Generation() uint64 { return ix.gen.Load() }
 func (ix *ShardedIndex) BumpGeneration() { ix.gen.Add(1) }
 
 // Invalidate clears both dictionaries and advances the generation (see
-// Index.Invalidate). Callers must hold an exclusive barrier over every
-// engine sharing the index (the live store quiesces its pool first): the
-// clear itself takes the stripe locks, but a concurrently running query
-// could otherwise interleave stale pre-mutation facts back in between the
-// clear and the barrier release.
+// Index.Invalidate). MaxK and the hub list are preserved: they describe
+// the index's shape, not graph-dependent facts. Callers must hold an
+// exclusive barrier over every engine sharing the index (the live store
+// quiesces its pool first): the clear itself takes the stripe locks, but a
+// concurrently running query could otherwise interleave stale
+// pre-mutation facts back in between the clear and the barrier release.
 func (ix *ShardedIndex) Invalidate() {
 	for u := range ix.check {
 		atomic.StoreInt32(&ix.check[u], 0)
 	}
+	ix.eachStripe(func(v int) { ix.rrd[v] = nil })
+	ix.gen.Add(1)
+}
+
+// eachStripe calls f for every node, one stripe at a time with that
+// stripe's lock held: one lock per stripe, not per node, keeps whole-index
+// passes cheap on large graphs.
+func (ix *ShardedIndex) eachStripe(f func(v int)) {
 	for s := 0; s < stripeCount && s < len(ix.rrd); s++ {
 		ix.mu[s].Lock()
 		for v := s; v < len(ix.rrd); v += stripeCount {
-			ix.rrd[v] = nil
+			f(v)
 		}
 		ix.mu[s].Unlock()
 	}
-	ix.gen.Add(1)
 }
 
 // Check returns the Check Dictionary bound for u. The bound is certified
@@ -141,45 +131,57 @@ func (ix *ShardedIndex) RaiseCheck(u, bound int32) {
 	}
 }
 
-// Reverse returns the stored reverse-rank list of v, ordered by
-// (rank, node). The returned slice is an immutable snapshot: it stays
-// valid (but may become stale) across concurrent Offer calls.
-func (ix *ShardedIndex) Reverse(v int32) []rank.Entry {
+// Reverse appends a copy of v's reverse-rank list, ordered by
+// (rank, node), to dst. The copy is taken under the stripe lock, so it
+// stays intact (if stale) across concurrent Offer calls.
+func (ix *ShardedIndex) Reverse(v int32, dst []rank.Entry) []rank.Entry {
 	mu := ix.stripe(v)
-	mu.RLock()
-	list := ix.rrd[v]
-	mu.RUnlock()
-	return list
+	mu.Lock()
+	dst = append(dst, ix.rrd[v]...)
+	mu.Unlock()
+	return dst
 }
 
 // LookupRank returns Rank(u, v) when the pair is recorded.
 func (ix *ShardedIndex) LookupRank(v, u int32) (int32, bool) {
-	return lookupRank(ix.Reverse(v), u)
+	mu := ix.stripe(v)
+	mu.Lock()
+	r, ok := lookupRank(ix.rrd[v], u)
+	mu.Unlock()
+	return r, ok
 }
 
-// Offer records Rank(u, v) = r in the Reverse Rank Dictionary of v (see
-// SerialIndex.Offer). The new list is published copy-on-write under the
-// stripe's write lock. Re-offers of recorded pairs — the steady state of
-// a warmed-up serving pool, since every refinement re-offers its settled
-// nodes — are rejected under the shared read lock so they never block
-// concurrent readers. The rejection stays valid at the write lock: lists
-// only improve, so an insertion position past maxK can only move further
-// out, and a recorded (u, rank) pair never changes (ranks are exact).
+// Offer records Rank(u, v) = r in the Reverse Rank Dictionary of v,
+// keeping only the best maxK entries ordered by (rank, node). Ranks are
+// exact, so a re-offered pair is ignored. It reports whether the
+// dictionary changed. The list is searched and edited in place in one
+// hold of the stripe's lock (see the type docs).
 func (ix *ShardedIndex) Offer(v, u, r int32) bool {
 	mu := ix.stripe(v)
-	mu.RLock()
-	pos, dup := offerPos(ix.rrd[v], u, r)
-	mu.RUnlock()
+	mu.Lock()
+	list := ix.rrd[v]
+	pos, dup := offerPos(list, u, r)
 	if dup || pos >= ix.maxK {
+		mu.Unlock()
 		return false
 	}
-	mu.Lock()
-	list, changed := offerToList(ix.rrd[v], u, r, ix.maxK, false)
-	if changed {
-		ix.rrd[v] = list
+	switch {
+	case len(list) == ix.maxK:
+		// The last entry falls off.
+	case len(list) < cap(list):
+		list = list[:len(list)+1]
+	default:
+		// The smallest allocation one entry longer. Allocations come in
+		// size classes, so it may hold room for the next few entries.
+		grown := slices.Grow([]rank.Entry(nil), len(list)+1)[:len(list)+1]
+		copy(grown, list)
+		list = grown
 	}
+	copy(list[pos+1:], list[pos:])
+	list[pos] = rank.Entry{Node: u, Rank: r}
+	ix.rrd[v] = list
 	mu.Unlock()
-	return changed
+	return true
 }
 
 // Entries returns the total number of reverse-rank entries stored. Under
@@ -187,26 +189,24 @@ func (ix *ShardedIndex) Offer(v, u, r int32) bool {
 // stripe is read atomically, but stripes are visited in sequence).
 func (ix *ShardedIndex) Entries() int64 {
 	var n int64
-	for s := 0; s < stripeCount && s < len(ix.rrd); s++ {
-		ix.mu[s].RLock()
-		for v := s; v < len(ix.rrd); v += stripeCount {
-			n += int64(len(ix.rrd[v]))
-		}
-		ix.mu[s].RUnlock()
-	}
+	ix.eachStripe(func(v int) { n += int64(len(ix.rrd[v])) })
 	return n
 }
 
-// SizeBytes estimates the in-memory footprint of the index payload.
+// SizeBytes estimates the in-memory footprint of the index payload
+// (dictionary entries and check bounds), mirroring the "Index Size"
+// columns of Tables 6-9.
 func (ix *ShardedIndex) SizeBytes() int64 {
-	return sizeBytes(int64(len(ix.check)), ix.Entries())
+	const entryBytes = 8 // int32 node + int32 rank
+	n := int64(len(ix.check))
+	return n*4 + ix.Entries()*entryBytes + n*24
 }
 
-// Snapshot returns a SerialIndex copy of the current state. Under
-// concurrent writes each dictionary slot is internally consistent (exact
-// facts only), though slots may be captured at slightly different times.
-func (ix *ShardedIndex) Snapshot() *SerialIndex {
-	cp := &SerialIndex{
+// Snapshot returns a deep copy of the current state. Under concurrent
+// writes each dictionary slot is internally consistent (exact facts only),
+// though slots may be captured at slightly different times.
+func (ix *ShardedIndex) Snapshot() *Snapshot {
+	cp := &Snapshot{
 		maxK:  ix.maxK,
 		hubs:  append([]int32(nil), ix.hubs...),
 		check: make([]int32, len(ix.check)),
@@ -215,24 +215,15 @@ func (ix *ShardedIndex) Snapshot() *SerialIndex {
 	for u := range ix.check {
 		cp.check[u] = atomic.LoadInt32(&ix.check[u])
 	}
-	// Published lists are immutable, but the serial copy mutates its lists
-	// in place, so each list is deep-copied rather than shared. One RLock
-	// per stripe (not per node) keeps the pass cheap on large graphs.
-	for s := 0; s < stripeCount && s < len(ix.rrd); s++ {
-		ix.mu[s].RLock()
-		for v := s; v < len(ix.rrd); v += stripeCount {
-			if list := ix.rrd[v]; len(list) > 0 {
-				cp.rrd[v] = append([]rank.Entry(nil), list...)
-			}
+	ix.eachStripe(func(v int) {
+		if list := ix.rrd[v]; len(list) > 0 {
+			cp.rrd[v] = append([]rank.Entry(nil), list...)
 		}
-		ix.mu[s].RUnlock()
-	}
+	})
 	return cp
 }
 
-// Write serializes a consistent snapshot of the index in the shared
-// on-disk format.
+// Write serializes a consistent snapshot of the index.
 func (ix *ShardedIndex) Write(w io.Writer) error {
-	snap := ix.Snapshot()
-	return snap.Write(w)
+	return ix.Snapshot().Write(w)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	rtmetrics "runtime/metrics"
 	"testing"
 
 	"rkranks/internal/api"
@@ -123,4 +124,63 @@ func checkFuzzResponse(t *testing.T, batch bool, body []byte) {
 			}
 		}
 	}
+}
+
+// FuzzMutateBodies feeds arbitrary /v1/mutate bodies to a fresh small
+// live server. It must answer 200 with the generation one higher, or 4xx
+// with the api error envelope; never 5xx, never a panic. What the request
+// allocates stays within a budget linear in the body length: a batch may
+// add at most MaxBatch vertices, however few bytes ask for more.
+//
+//	go test ./internal/server -run '^$' -fuzz '^FuzzMutateBodies$' -fuzztime 30s
+func FuzzMutateBodies(f *testing.F) {
+	for _, seed := range []string{
+		`{"mutations":[{"op":"set_weight","u":0,"v":1,"weight":2}]}`,
+		`{"mutations":[{"op":"insert_edge","u":3,"v":17,"weight":0.5},{"op":"delete_edge","u":3,"v":17}]}`,
+		`{"mutations":[{"op":"add_vertex","count":2},{"op":"insert_edge","u":20,"v":21,"weight":1}]}`,
+		`{"mutations":[{"op":"add_vertex","count":100000}]}`,
+		`{"mutations":[{"op":"add_vertex","count":-1},{"op":"add_vertex","count":1023}]}`,
+		`{"mutations":[{"op":"set_weight","u":-1,"v":99,"weight":-3}]}`,
+		`{"mutations":[{"op":"bogus"}],"timeout_ms":-1}`,
+		`{"mutations":[]}`,
+		`{"mutations":[{"op":"add_vertex"}`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		st, h := newLiveServer(t)
+		before := st.Generation()
+		rec := httptest.NewRecorder()
+		used := allocated(func() {
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/mutate", bytes.NewReader([]byte(body))))
+		})
+		if budget := 1<<20 + 64*uint64(len(body)); used > budget {
+			t.Fatalf("a %d-byte body allocated %d bytes, budget %d", len(body), used, budget)
+		}
+		switch {
+		case rec.Code == http.StatusOK:
+			var resp api.MutateResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Generation != before+1 {
+				t.Fatalf("200 with generation %d after %d: %q", resp.Generation, before, rec.Body)
+			}
+		case rec.Code >= 400 && rec.Code < 500:
+			var e api.ErrorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Code == "" {
+				t.Fatalf("status %d without the error envelope: %q", rec.Code, rec.Body)
+			}
+		default:
+			t.Fatalf("status %d for %q: %s", rec.Code, body, rec.Body)
+		}
+	})
+}
+
+// allocated returns the heap bytes allocated while run ran, read from
+// runtime/metrics rather than the stop-the-world runtime.ReadMemStats.
+func allocated(run func()) uint64 {
+	s := []rtmetrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	rtmetrics.Read(s)
+	before := s[0].Value.Uint64()
+	run()
+	rtmetrics.Read(s)
+	return s[0].Value.Uint64() - before
 }

@@ -51,7 +51,7 @@ func (s *Server) handleIndexSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(api.HeaderIndexGeneration, strconv.FormatUint(gen, 10))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	// Header already sent; a mid-body write error just truncates the
-	// stream, which the follower's ridx.ReadSharded detects.
+	// stream, which the follower's ridx.Read detects.
 	_ = snap.Write(w)
 	s.om.IndexSnapshotsServed.Inc()
 	s.observe(r, start, http.StatusOK, nil, 0)

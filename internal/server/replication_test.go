@@ -50,7 +50,7 @@ func indexStateEqual(t *testing.T, got, want ridx.Index) {
 		}
 	}
 	for v := int32(0); v < int32(want.N()); v++ {
-		g, w := got.Reverse(v), want.Reverse(v)
+		g, w := got.Reverse(v, nil), want.Reverse(v, nil)
 		if len(g) != len(w) {
 			t.Fatalf("Reverse(%d): %v vs %v", v, g, w)
 		}
@@ -82,7 +82,7 @@ func isUnimplemented(err error) bool {
 }
 
 // TestIndexSnapshotRoundTrip: the snapshot body streams the ridx on-disk
-// format with cursor headers; a ReadSharded of it reproduces the
+// format with cursor headers; reading it back reproduces the
 // leader's exact dictionary state, and /statsz grows a replication
 // section counting the serve.
 func TestIndexSnapshotRoundTrip(t *testing.T) {
@@ -106,11 +106,11 @@ func TestIndexSnapshotRoundTrip(t *testing.T) {
 	if gen != repl.Generation() {
 		t.Errorf("X-Index-Generation = %d, want %d", gen, repl.Generation())
 	}
-	follower, err := ridx.ReadSharded(body)
+	follower, err := ridx.Read(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexStateEqual(t, follower, repl)
+	indexStateEqual(t, follower.Sharded(), repl)
 
 	resp, err := http.Get(ts.URL + "/statsz")
 	if err != nil {
@@ -143,11 +143,12 @@ func TestIndexDeltasCursor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	follower, err := ridx.ReadSharded(body)
+	snap, err := ridx.Read(body)
 	body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
+	follower := snap.Sharded()
 
 	// Leader learns after the snapshot was cut.
 	for i := int32(0); i < 60; i++ {

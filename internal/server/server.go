@@ -152,7 +152,8 @@ type Config struct {
 	// MaxTimeout caps client-requested timeouts. <= 0 defaults to 60s.
 	MaxTimeout time.Duration
 
-	// MaxBatch bounds queries per /v1/batch request. <= 0 defaults to 1024.
+	// MaxBatch bounds queries per /v1/batch request, and both mutations
+	// and added vertices per /v1/mutate batch. <= 0 defaults to 1024.
 	MaxBatch int
 
 	// AccessLog receives one structured record per request. Nil disables
@@ -611,6 +612,20 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if len(ms) > s.cfg.MaxBatch {
 		s.reject(w, r, start, http.StatusBadRequest, codeInvalidArgument,
 			fmt.Sprintf("batch of %d mutations exceeds limit %d", len(ms), s.cfg.MaxBatch))
+		return
+	}
+	// A live backend grows the graph and every engine's per-node arrays by
+	// each added vertex, so a few bytes of count must not ask for more.
+	// Each op's share is capped so that the sum cannot overflow.
+	added := 0
+	for _, m := range ms {
+		if m.Op == graph.MutAddVertex {
+			added += min(max(m.Count, 1), s.cfg.MaxBatch+1)
+		}
+	}
+	if added > s.cfg.MaxBatch {
+		s.reject(w, r, start, http.StatusBadRequest, codeInvalidArgument,
+			fmt.Sprintf("batch adds %d or more vertices, limit %d", added, s.cfg.MaxBatch))
 		return
 	}
 	// Mutations ride the same admission policy as queries: one batch, one

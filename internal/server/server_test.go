@@ -2,10 +2,12 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"rkranks/internal/core"
 	"rkranks/internal/gen"
 	"rkranks/internal/graph"
+	"rkranks/internal/live"
 	"rkranks/internal/rank"
 	"rkranks/internal/ridx"
 	"rkranks/internal/sssp"
@@ -429,5 +432,56 @@ func TestDrainIdempotent(t *testing.T) {
 	}
 	if err := s.Drain(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// newLiveServer serves a fresh live store over a 20-node graph with one
+// engine, as rkserve -live does.
+func newLiveServer(tb testing.TB) (*live.Store, http.Handler) {
+	tb.Helper()
+	g := gen.GNM(20, 40, false, 3)
+	st, err := live.NewStore(g, live.Config{PoolSize: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv, err := New(Config{Backend: st, Graph: g})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st, srv.Handler()
+}
+
+// TestMutateCapsAddedVertices: one /v1/mutate batch may add at most
+// MaxBatch vertices across its add_vertex ops, a count <= 0 adding one.
+// Every added vertex grows the live graph and each engine's per-node
+// arrays, so without the cap a 55-byte body could ask for hundreds of GB.
+func TestMutateCapsAddedVertices(t *testing.T) {
+	st, h := newLiveServer(t)
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/mutate", strings.NewReader(body)))
+		return rec
+	}
+	// 1,023 + 1 = MaxBatch's default of 1,024.
+	rec := post(`{"mutations":[{"op":"add_vertex","count":1023},{"op":"add_vertex","count":0}]}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("adding MaxBatch vertices: status %d: %s", rec.Code, rec.Body)
+	}
+	if n := st.Graph().N(); n != 20+1024 {
+		t.Fatalf("graph has %d nodes, want %d", n, 20+1024)
+	}
+	gen := st.Generation()
+	for _, body := range []string{
+		`{"mutations":[{"op":"add_vertex","count":1025}]}`,
+		`{"mutations":[{"op":"add_vertex","count":1023},{"op":"add_vertex","count":-5},{"op":"add_vertex"}]}`,
+	} {
+		rec := post(body)
+		var e api.ErrorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusBadRequest || e.Code != api.CodeInvalidArgument {
+			t.Errorf("%s: status %d %q, want 400 %s", body, rec.Code, rec.Body, api.CodeInvalidArgument)
+		}
+	}
+	if st.Generation() != gen || st.Graph().N() != 20+1024 {
+		t.Error("a rejected batch changed the store")
 	}
 }

@@ -42,14 +42,12 @@
 // All functionality is pure Go with no dependencies outside the standard
 // library. An Engine is not safe for concurrent use (it owns per-query
 // workspaces); a Pool holds one engine per permit and serves queries from
-// many goroutines. Indexes come in two interchangeable implementations
-// behind the Index interface: BuildIndex returns a single-goroutine index
-// for a dedicated engine, and NewConcurrentIndex returns a lock-striped
-// index that any number of engines may share — Indexed queries from a
+// many goroutines. An index (BuildIndex, LoadIndex) is lock-striped, so
+// one engine or any number of engines may use it — Indexed queries from a
 // whole pool then read one set of dictionaries and feed their refinements
 // back into it, so the index improves with aggregate traffic:
 //
-//	ix, _ := rkranks.NewConcurrentIndex(g, rkranks.IndexParams{
+//	ix, _ := rkranks.BuildIndex(g, rkranks.IndexParams{
 //		HubFraction: 0.1, RankFraction: 0.1, MaxK: 100,
 //		Strategy: rkranks.DegreeHubs,
 //	})
@@ -136,13 +134,12 @@ type (
 	Stats = core.Stats
 	// Entry pairs a node with a rank value.
 	Entry = rank.Entry
-	// Index is the Section-5 Check/Reverse-Rank dictionary structure, an
-	// interface over the single-goroutine implementation (BuildIndex /
-	// LoadIndex) and the concurrency-safe one (NewConcurrentIndex /
-	// LoadConcurrentIndex). Index.Concurrent reports which kind it is.
+	// Index is the Section-5 Check/Reverse-Rank dictionary structure, as
+	// Engine.SetIndex, NewPoolWithIndex and the cluster and live options
+	// accept it.
 	Index = ridx.Index
-	// ConcurrentIndex is the lock-striped Index implementation that may be
-	// shared by any number of engines (see NewConcurrentIndex).
+	// ConcurrentIndex is the Index implementation BuildIndex and LoadIndex
+	// return: lock-striped, so any number of engines may share it.
 	ConcurrentIndex = ridx.ShardedIndex
 	// HubStrategy selects how index hubs are chosen.
 	HubStrategy = hub.Strategy
@@ -241,9 +238,7 @@ func NewPool(g *Graph, opts Options, size int) *Pool { return core.NewPool(g, op
 // GOMAXPROCS) sharing one concurrency-safe index, enabling Indexed — the
 // fastest engine — for concurrent querying: every query's refinements feed
 // the shared dictionaries, so the index learns from the pool's aggregate
-// traffic. The index must come from NewConcurrentIndex or
-// LoadConcurrentIndex; a BuildIndex result is rejected (it is not safe to
-// share).
+// traffic. Build the index with BuildIndex or load it with LoadIndex.
 func NewPoolWithIndex(g *Graph, opts Options, size int, ix Index) (*Pool, error) {
 	return core.NewPoolWithIndex(g, opts, size, ix)
 }
@@ -264,13 +259,12 @@ type ClusterOptions struct {
 	Partitioner string
 	// PoolSize sizes each shard's engine pool (<= 0 derives a default).
 	PoolSize int
-	// Index, when non-nil, is ONE concurrency-safe index (from
-	// NewConcurrentIndex / LoadConcurrentIndex) shared by every shard,
-	// enabling Indexed queries cluster-wide exactly like NewPoolWithIndex
-	// does for a single pool. In Live mode it is used only as a sizing
-	// template: each live shard starts its OWN empty index at the same
-	// MaxK (live shards cannot share one — each store swaps in a fresh
-	// index when a topology mutation forces a rebuild).
+	// Index, when non-nil, is ONE index (from BuildIndex / LoadIndex)
+	// shared by every shard, enabling Indexed queries cluster-wide exactly
+	// like NewPoolWithIndex does for a single pool. In Live mode it is
+	// used only as a sizing template: each live shard starts its OWN empty
+	// index at the same MaxK (live shards cannot share one — each store
+	// swaps in a fresh index when a topology mutation forces a rebuild).
 	Index Index
 	// StrictConsistency refuses queries whenever a shard is unavailable
 	// instead of answering partially (Result.Partial).
@@ -442,10 +436,10 @@ type LiveOptions struct {
 	Options Options
 	// PoolSize sizes the engine pool (<= 0 derives a default).
 	PoolSize int
-	// Index, when non-nil, enables Indexed queries; it must be the
-	// concurrency-safe kind (NewConcurrentIndex / LoadConcurrentIndex).
-	// Weight patches invalidate it in place (it re-learns from traffic);
-	// topology rebuilds replace it with an empty index at the same MaxK.
+	// Index, when non-nil, enables Indexed queries (from BuildIndex /
+	// LoadIndex). Weight patches invalidate it in place (it re-learns
+	// from traffic); topology rebuilds replace it with an empty index at
+	// the same MaxK.
 	Index Index
 	// Labels, when non-nil, enables HubLabel queries. Mutations mark the
 	// labeling stale: HubLabel queries transparently fall back to Dynamic
@@ -539,8 +533,7 @@ func NewCachedBackend(backend QueryBackend, opts CacheOptions) (*CachedBackend, 
 	})
 }
 
-// SaveIndex writes a built index (either implementation) to a file; the
-// on-disk format does not record which implementation produced it.
+// SaveIndex writes an index to a file that LoadIndex reads.
 func SaveIndex(path string, ix Index) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -553,31 +546,19 @@ func SaveIndex(path string, ix Index) error {
 	return f.Close()
 }
 
-// LoadIndex reads an index written by SaveIndex into the single-goroutine
-// implementation (for a dedicated Engine). Use LoadConcurrentIndex for an
-// index a Pool can share.
-func LoadIndex(path string) (Index, error) {
+// LoadIndex reads an index written by SaveIndex, ready for an Engine or
+// NewPoolWithIndex.
+func LoadIndex(path string) (*ConcurrentIndex, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	ix, err := ridx.Read(f)
+	snap, err := ridx.Read(f)
 	if err != nil {
 		return nil, err
 	}
-	return ix, nil
-}
-
-// LoadConcurrentIndex reads an index written by SaveIndex into the
-// concurrency-safe implementation, ready for NewPoolWithIndex.
-func LoadConcurrentIndex(path string) (*ConcurrentIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ridx.ReadSharded(f)
+	return snap.Sharded(), nil
 }
 
 // HubLabelParams configures BuildHubLabels.
@@ -719,29 +700,10 @@ func buildParams(g *Graph, p IndexParams) (ridx.BuildParams, error) {
 
 // BuildIndex precomputes a Section-5 index for g: selects H = h·|V| hubs
 // with the chosen strategy and runs an M = m·|V| step ranked SSSP from
-// each. Attach the result to an Engine with SetIndex to enable Indexed
-// queries on that engine. The returned index is the single-goroutine
-// implementation; use NewConcurrentIndex for one a Pool can share.
-func BuildIndex(g *Graph, p IndexParams) (Index, error) {
-	bp, err := buildParams(g, p)
-	if err != nil {
-		return nil, err
-	}
-	// Hub searches are independent; build in parallel. The result is
-	// identical to a serial build regardless of scheduling.
-	ix, err := ridx.BuildParallel(g, bp, 0)
-	if err != nil {
-		return nil, err
-	}
-	return ix, nil
-}
-
-// NewConcurrentIndex precomputes the same index as BuildIndex into the
-// concurrency-safe lock-striped implementation: any number of engines may
-// read and refine it at once, so it is the index to pass to
-// NewPoolWithIndex. The build runs the same parallel hub searches as
-// BuildIndex.
-func NewConcurrentIndex(g *Graph, p IndexParams) (*ConcurrentIndex, error) {
+// each, on all cores (the index is identical for any core count). Attach
+// the result to an Engine with SetIndex, or share it between the engines
+// of a pool with NewPoolWithIndex, to enable Indexed queries.
+func BuildIndex(g *Graph, p IndexParams) (*ConcurrentIndex, error) {
 	bp, err := buildParams(g, p)
 	if err != nil {
 		return nil, err

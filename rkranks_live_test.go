@@ -187,7 +187,7 @@ func TestLiveMutationOracle(t *testing.T) {
 		g := liveTestGraph(48, seed)
 		m := newMirror(g)
 
-		ix, err := rkranks.NewConcurrentIndex(g, rkranks.IndexParams{MaxK: 20})
+		ix, err := rkranks.BuildIndex(g, rkranks.IndexParams{MaxK: 20})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -182,22 +182,9 @@ func TestPublicConcurrentIndexPool(t *testing.T) {
 	params := rkranks.IndexParams{
 		HubFraction: 0.5, RankFraction: 0.5, MaxK: 4, Strategy: rkranks.DegreeHubs,
 	}
-	cix, err := rkranks.NewConcurrentIndex(g, params)
+	cix, err := rkranks.BuildIndex(g, params)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !cix.Concurrent() {
-		t.Fatal("NewConcurrentIndex returned a non-concurrent index")
-	}
-	six, err := rkranks.BuildIndex(g, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if six.Concurrent() {
-		t.Fatal("BuildIndex returned a concurrent index")
-	}
-	if _, err := rkranks.NewPoolWithIndex(g, rkranks.Options{}, 4, six); err == nil {
-		t.Fatal("pool accepted a non-concurrent index")
 	}
 	pool, err := rkranks.NewPoolWithIndex(g, rkranks.Options{}, 4, cix)
 	if err != nil {
@@ -205,6 +192,10 @@ func TestPublicConcurrentIndexPool(t *testing.T) {
 	}
 
 	// Serial oracle: a dedicated engine on its own index copy.
+	six, err := rkranks.BuildIndex(g, params)
+	if err != nil {
+		t.Fatal(err)
+	}
 	oracle := rkranks.NewEngine(g, rkranks.Options{})
 	oracle.SetIndex(six)
 	queries := make([]int32, 0, len(id))
@@ -250,7 +241,7 @@ func TestPublicConcurrentIndexPool(t *testing.T) {
 
 func TestConcurrentIndexSaveLoad(t *testing.T) {
 	g, id := toyGraph()
-	cix, err := rkranks.NewConcurrentIndex(g, rkranks.IndexParams{
+	cix, err := rkranks.BuildIndex(g, rkranks.IndexParams{
 		HubFraction: 0.5, RankFraction: 0.5, MaxK: 4, Strategy: rkranks.DegreeHubs,
 	})
 	if err != nil {
@@ -260,13 +251,12 @@ func TestConcurrentIndexSaveLoad(t *testing.T) {
 	if err := rkranks.SaveIndex(path, cix); err != nil {
 		t.Fatal(err)
 	}
-	back, err := rkranks.LoadConcurrentIndex(path)
+	back, err := rkranks.LoadIndex(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !back.Concurrent() || back.Entries() != cix.Entries() {
-		t.Fatalf("reloaded concurrent index: concurrent=%v entries=%d want %d",
-			back.Concurrent(), back.Entries(), cix.Entries())
+	if back.Entries() != cix.Entries() {
+		t.Fatalf("reloaded index: entries=%d want %d", back.Entries(), cix.Entries())
 	}
 	pool, err := rkranks.NewPoolWithIndex(g, rkranks.Options{}, 2, back)
 	if err != nil {
@@ -277,18 +267,7 @@ func TestConcurrentIndexSaveLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Entries) != 2 || res.Entries[0].Rank != 3 {
-		t.Fatalf("query via reloaded concurrent index: %v", res.Entries)
-	}
-	// The same file loads as a serial index too: one on-disk format.
-	serial, err := rkranks.LoadIndex(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Concurrent() || serial.Entries() != cix.Entries() {
-		t.Fatalf("serial reload: concurrent=%v entries=%d", serial.Concurrent(), serial.Entries())
-	}
-	if _, err := rkranks.LoadConcurrentIndex(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Error("missing index accepted")
+		t.Fatalf("query via reloaded index: %v", res.Entries)
 	}
 }
 
@@ -411,7 +390,7 @@ func TestPublicCluster(t *testing.T) {
 		}
 	}
 
-	ix, err := rkranks.NewConcurrentIndex(g, rkranks.IndexParams{
+	ix, err := rkranks.BuildIndex(g, rkranks.IndexParams{
 		HubFraction: 0.5, RankFraction: 0.5, MaxK: 10, Strategy: rkranks.DegreeHubs,
 	})
 	if err != nil {
@@ -550,7 +529,7 @@ func TestPublicReplicatedCluster(t *testing.T) {
 		t.Errorf("local+shards topology: %v", err)
 	}
 
-	ix, err := rkranks.NewConcurrentIndex(g, rkranks.IndexParams{
+	ix, err := rkranks.BuildIndex(g, rkranks.IndexParams{
 		HubFraction: 0.5, RankFraction: 0.5, MaxK: 10, Strategy: rkranks.DegreeHubs,
 	})
 	if err != nil {

@@ -158,15 +158,16 @@ func (r *Replicated) WriteSnapshot(w io.Writer) (seq uint64, gen uint64, err err
 // Apply replays a batch of deltas in order, reporting how many changed
 // the dictionaries. Applied changes are re-logged, so a follower can
 // itself lead further replicas. The whole batch is checked first: an
-// unknown op, a node outside [0, N()) or an offered rank below 1 fails
-// the call with an error wrapping ErrFormat, and nothing is applied.
+// unknown op, a node outside [0, N()) (U, and an offer's V; a check's V
+// is unused) or an offered rank below 1 fails the call with an error
+// wrapping ErrFormat, and nothing is applied.
 func (r *Replicated) Apply(ds []Delta) (applied int, err error) {
 	n := r.N()
 	for i, d := range ds {
 		switch {
 		case d.Op != DeltaOffer && d.Op != DeltaCheck:
 			return 0, fmt.Errorf("ridx: delta %d: unknown op %d: %w", i, d.Op, ErrFormat)
-		case d.V < 0 || int(d.V) >= n || d.U < 0 || int(d.U) >= n:
+		case d.U < 0 || int(d.U) >= n || (d.Op == DeltaOffer && (d.V < 0 || int(d.V) >= n)):
 			return 0, fmt.Errorf("ridx: delta %d: node out of range [0,%d) (v=%d u=%d): %w", i, n, d.V, d.U, ErrFormat)
 		case d.Op == DeltaOffer && d.R < 1:
 			return 0, fmt.Errorf("ridx: delta %d: offer of rank %d: %w", i, d.R, ErrFormat)

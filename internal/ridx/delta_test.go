@@ -313,3 +313,13 @@ func TestReplicationRejectsBadInput(t *testing.T) {
 		return err
 	})
 }
+
+// TestApplyIgnoresCheckV: a check delta's V is unused, so no value of it
+// fails the batch.
+func TestApplyIgnoresCheckV(t *testing.T) {
+	r := NewReplicated(NewSharded(10, 4), 0)
+	applied, err := r.Apply([]Delta{{Op: DeltaCheck, V: 1000, U: 2, R: 3}, {Op: DeltaCheck, V: -1, U: 3, R: 4}})
+	if err != nil || applied != 2 || r.Check(2) != 3 || r.Check(3) != 4 {
+		t.Fatalf("applied %d, err %v, checks %d %d; want 2, nil, 3 4", applied, err, r.Check(2), r.Check(3))
+	}
+}

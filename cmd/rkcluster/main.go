@@ -1,7 +1,7 @@
 // Command rkcluster serves reverse k-ranks queries from a sharded
 // cluster: a scatter-gather coordinator (internal/cluster) behind the
 // same HTTP contract as rkserve — POST /v1/query, POST /v1/batch,
-// GET /healthz, GET /statsz — so clients and load balancers cannot tell
+// GET /healthz, GET /metrics — so clients and load balancers cannot tell
 // one node from P.
 //
 // The cluster layout comes from ONE declarative topology file:
@@ -31,9 +31,11 @@
 // Each query goes once to every shard at the client's k, which it also
 // carries as the merged k, so every shard returns each of its candidates
 // that is in the merged top k, and the merged results are
-// byte-identical to a single node (see internal/cluster). /statsz gains
-// a "cluster" section with per-shard occupancy, health, and the
-// coordinator-vs-slowest-shard latency split.
+// byte-identical to a single node (see internal/cluster). /metrics adds
+// the coordinator's counters: queries, partial answers, entries
+// transferred, shard failures, batch scatters, and the calls to each
+// shard (rkranks_cluster_shard_calls_total{shard}); /healthz reports the
+// shard count.
 //
 // On SIGTERM/SIGINT the coordinator drains like rkserve: admission stops
 // (503), in-flight scatters complete, then the process exits.
@@ -105,7 +107,6 @@ func run(args []string, logger *slog.Logger, ready chan<- string) error {
 		drainTO   = fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 		accessLog = fs.Bool("access-log", true, "emit structured access logs")
 		pprofOn   = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (see CONTRIBUTING.md)")
-		metricsOn = fs.Bool("metrics", true, "mount GET /metrics (Prometheus text exposition)")
 		slowMS    = fs.Int("slow-query-ms", 500, "flight-recorder slow threshold in ms; 0 records EVERY request to /debug/requestz")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -165,7 +166,6 @@ func run(args []string, logger *slog.Logger, ready chan<- string) error {
 		MaxTimeout:       *maxTO,
 		EnablePprof:      *pprofOn,
 		Metrics:          om,
-		EnableMetrics:    *metricsOn,
 	}
 	if *slowMS == 0 {
 		scfg.SlowQueryThreshold = -1 // record every request

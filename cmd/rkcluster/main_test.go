@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"log/slog"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -64,16 +68,19 @@ func TestClusterServeAndSigtermDrain(t *testing.T) {
 		t.Errorf("batch returned %d results", len(batch.Results))
 	}
 
-	snap, err := c.Stats(context.Background())
+	// One call per shard for the query and one for the batch.
+	for _, shard := range []string{"0", "1"} {
+		if v, ok := metric(t, "http://"+addr, `rkranks_cluster_shard_calls_total{shard="`+shard+`"}`); v != 2 {
+			t.Errorf("shard %s calls = %v (series present %v), want 2", shard, v, ok)
+		}
+	}
+	resp404, err := http.Get("http://" + addr + "/statsz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, ok := snap.Cluster.(map[string]any)
-	if !ok {
-		t.Fatalf("statsz cluster section = %#v", snap.Cluster)
-	}
-	if shardsDoc, ok := cl["shards"].([]any); !ok || len(shardsDoc) != 2 {
-		t.Errorf("cluster shards section = %v", cl["shards"])
+	resp404.Body.Close()
+	if resp404.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /statsz: status %d, want 404", resp404.StatusCode)
 	}
 
 	// SIGTERM: run must drain and return nil.
@@ -88,4 +95,26 @@ func TestClusterServeAndSigtermDrain(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("cluster never drained after SIGTERM")
 	}
+}
+
+// metric reads one series (name and labels, as printed) from base's
+// /metrics; ok is false when the series is absent.
+func metric(t *testing.T, base, series string) (v float64, ok bool) {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if val, found := strings.CutPrefix(sc.Text(), series+" "); found {
+			v, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v, true
+		}
+	}
+	return 0, false
 }

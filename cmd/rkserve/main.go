@@ -29,8 +29,9 @@
 //
 // Endpoints: POST /v1/query, POST /v1/batch, POST /v1/mutate (with
 // -live), GET /v1/index/snapshot, GET /v1/index/deltas, GET /healthz,
-// GET /statsz (see internal/server). On SIGTERM/SIGINT the server drains: admission
-// stops (503), every in-flight request completes, then the process exits.
+// GET /metrics, GET /debug/requestz (see internal/server). On
+// SIGTERM/SIGINT the server drains: admission stops (503), every
+// in-flight request completes, then the process exits.
 package main
 
 import (
@@ -108,7 +109,6 @@ func run(args []string, logger *slog.Logger, ready chan<- string) error {
 		drainTO   = fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 		accessLog = fs.Bool("access-log", true, "emit structured access logs")
 		pprofOn   = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (see CONTRIBUTING.md)")
-		metricsOn = fs.Bool("metrics", true, "mount GET /metrics (Prometheus text exposition)")
 		slowMS    = fs.Int("slow-query-ms", 500, "flight-recorder slow threshold in ms; 0 records EVERY request to /debug/requestz")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -246,7 +246,6 @@ func run(args []string, logger *slog.Logger, ready chan<- string) error {
 		HealthExtra:      healthExtra,
 		EnablePprof:      *pprofOn,
 		Metrics:          om,
-		EnableMetrics:    *metricsOn,
 	}
 	if *slowMS == 0 {
 		cfg.SlowQueryThreshold = -1 // record every request

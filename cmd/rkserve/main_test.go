@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"log/slog"
+	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -67,15 +71,11 @@ func TestServeQueryAndSigtermDrain(t *testing.T) {
 	// Give the slow queries time to be admitted before the signal.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		snap, err := c.Stats(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snap.InFlight >= n {
+		if v, _ := metric(t, "http://"+addr, "rkranks_in_flight_requests"); v >= n {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("slow queries never in flight: %+v", snap)
+			t.Fatal("slow queries never in flight")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -164,8 +164,8 @@ func TestShardFlagMasksCandidates(t *testing.T) {
 }
 
 // TestCacheFlagServesRepeatsFromCache boots rkserve with -cache-mb and
-// asserts a repeated query hits the response cache (the /statsz cache
-// section moves) while answering byte-identically.
+// asserts a repeated query hits the response cache (the cache counters
+// on /metrics move) while answering byte-identically.
 func TestCacheFlagServesRepeatsFromCache(t *testing.T) {
 	logger := slog.New(slog.DiscardHandler)
 	ready := make(chan string, 1)
@@ -202,16 +202,10 @@ func TestCacheFlagServesRepeatsFromCache(t *testing.T) {
 			t.Fatalf("cached repeat diverged at %d: %v vs %v", i, first.Entries, second.Entries)
 		}
 	}
-	snap, err := c.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, ok := snap.Cache.(map[string]any)
-	if !ok {
-		t.Fatalf("statsz has no cache section: %#v", snap.Cache)
-	}
-	if doc["hits"] != float64(1) || doc["misses"] != float64(1) {
-		t.Errorf("cache counters = %v, want one miss then one hit", doc)
+	hits, _ := metric(t, "http://"+addr, "rkranks_cache_hits_total")
+	misses, _ := metric(t, "http://"+addr, "rkranks_cache_misses_total")
+	if hits != 1 || misses != 1 {
+		t.Errorf("cache counters = %v hits, %v misses, want one miss then one hit", hits, misses)
 	}
 
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
@@ -225,4 +219,26 @@ func TestCacheFlagServesRepeatsFromCache(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("server did not exit after SIGTERM")
 	}
+}
+
+// metric reads one series (name and labels, as printed) from base's
+// /metrics; ok is false when the series is absent.
+func metric(t *testing.T, base, series string) (v float64, ok bool) {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if val, found := strings.CutPrefix(sc.Text(), series+" "); found {
+			v, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v, true
+		}
+	}
+	return 0, false
 }

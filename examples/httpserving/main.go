@@ -2,18 +2,21 @@
 // internal/server layer (the same one cmd/rkserve wraps) over a pool
 // sharing a concurrent index, drives it with mixed HTTP traffic — single
 // queries, a batch, a deliberately bad request, a deliberately impossible
-// deadline — then drains gracefully and prints the /statsz aggregate the
+// deadline — then drains gracefully and prints the /metrics series the
 // operators would scrape.
 //
 // Run with: go run ./examples/httpserving
 package main
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"log"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"time"
 
@@ -104,13 +107,32 @@ func main() {
 		fmt.Printf("after drain     -> %v\n", err)
 	}
 
-	snap, err := client.Stats(ctx)
+	// What an operator scrapes: requests by route, the query route's
+	// latency histogram (sum and count give the mean), and the engine's
+	// index hits against its refinements.
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\n/statsz: %d requests, p50 %.2fms p99 %.2fms, index hit rate %.0f%%, %d refinements total\n",
-		snap.RequestsTotal, snap.Latency.P50, snap.Latency.P99,
-		100*snap.IndexHitRate, snap.QueryStats.Refinements)
+	defer resp.Body.Close()
+	fmt.Println("\n/metrics:")
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		for _, name := range []string{
+			"rkranks_requests_total{",
+			`rkranks_request_duration_seconds_sum{route="query"}`,
+			`rkranks_request_duration_seconds_count{route="query"}`,
+			"rkranks_engine_index_hits_total ",
+			"rkranks_engine_refinements_total ",
+		} {
+			if strings.HasPrefix(sc.Text(), name) {
+				fmt.Println(sc.Text())
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		log.Fatal(err)
+	}
 }
 
 // buildGraph assembles a DBLP-like collaboration graph via the public

@@ -11,7 +11,7 @@
 //	POST /v1/batch   BatchRequest  -> BatchResponse
 //	POST /v1/mutate  MutateRequest -> MutateResponse
 //	GET  /healthz    (ad-hoc document; see server)
-//	GET  /statsz     Snapshot
+//	GET  /metrics    (Prometheus text; the catalog is internal/obs)
 //
 // Every non-2xx response carries the one error envelope:
 //

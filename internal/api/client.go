@@ -15,8 +15,9 @@ import (
 	"rkranks/internal/obs"
 )
 
-// Client is the typed HTTP client for the v1 wire protocol: rkserve and
-// rkcluster instances, query/batch/mutate/statsz. It is promoted to the
+// Client is the typed HTTP client for the v1 wire protocol of rkserve and
+// rkcluster instances: Query, Batch, Mutate, Health, and the index
+// replication calls IndexSnapshot and IndexDeltas. It is promoted to the
 // public surface as rkranks.Client; the rkbench load generator, the
 // serving_http experiment, the cluster coordinator's remote shards, and
 // the smoke tests all speak through it instead of hand-rolling requests.
@@ -58,7 +59,9 @@ func (e *StatusError) Error() string {
 }
 
 // Health fetches /healthz. It returns the decoded document even for a 503
-// (draining) response, with the StatusError alongside.
+// (draining) response, with the StatusError alongside. Counters live on
+// /metrics, which Prometheus scrapes directly; the client has no call
+// for it.
 func (c *Client) Health(ctx context.Context) (map[string]any, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
 	if err != nil {
@@ -78,27 +81,6 @@ func (c *Client) Health(ctx context.Context) (map[string]any, error) {
 		return doc, &StatusError{Status: resp.StatusCode, Code: status, Msg: "unhealthy"}
 	}
 	return doc, nil
-}
-
-// Stats fetches /statsz.
-func (c *Client) Stats(ctx context.Context) (*Snapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/statsz", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, &StatusError{Status: resp.StatusCode, Code: CodeInternal, Msg: "statsz failed"}
-	}
-	var snap Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("api: bad /statsz body: %w", err)
-	}
-	return &snap, nil
 }
 
 // Query posts one reverse k-ranks query. algorithm may be empty (server

@@ -97,20 +97,6 @@ type IndexDeltasResponse struct {
 	RequestID        string       `json:"request_id,omitempty"`
 }
 
-// ReplicationSnapshot is the /statsz "replication" section, present when
-// the backend serves a replicated index. On a leader the loaded/applied
-// counters stay 0; on a follower they record progress against its
-// leader. The CI smoke test asserts the index_snapshot_* counters after
-// restarting a replica.
-type ReplicationSnapshot struct {
-	IndexSeq             uint64 `json:"index_seq"`
-	IndexGeneration      uint64 `json:"index_generation"`
-	IndexSnapshotsServed int64  `json:"index_snapshots_served"`
-	IndexDeltasServed    int64  `json:"index_deltas_served"`
-	IndexSnapshotsLoaded int64  `json:"index_snapshots_loaded"`
-	IndexDeltasApplied   int64  `json:"index_deltas_applied"`
-}
-
 // IndexSnapshot fetches the leader's index snapshot. The returned body
 // streams the ridx on-disk format (parse with ridx.Read);
 // the caller must close it. seq is the delta cursor to resume from and

@@ -68,14 +68,8 @@ func (b *Backend) Indexed() bool { return b.inner.Indexed() }
 
 // Unwrap exposes the decorated backend, so servers can probe the chain
 // for capabilities the cache does not re-implement (shard counts,
-// cluster snapshots).
+// generations).
 func (b *Backend) Unwrap() any { return b.inner }
-
-// CacheSnapshot implements the server /statsz probe.
-func (b *Backend) CacheSnapshot() any {
-	snap := b.cache.Stats()
-	return &snap
-}
 
 // Cache exposes the underlying store (tests, direct invalidation).
 func (b *Backend) Cache() *Cache { return b.cache }

@@ -76,7 +76,7 @@ func TestCachedEquivalenceAllAlgorithms(t *testing.T) {
 			}
 		}
 	}
-	snap := cached.CacheSnapshot().(*Snapshot)
+	snap := cached.Cache().Stats()
 	if snap.Hits == 0 || snap.Misses == 0 {
 		t.Errorf("expected both hits and misses, got %+v", snap)
 	}
@@ -119,7 +119,7 @@ func TestCoalescingAdmitsOnePermit(t *testing.T) {
 	if peak := pool.PeakOccupancy(); peak != 1 {
 		t.Errorf("peak pool occupancy = %d, want 1 (duplicates must share one permit)", peak)
 	}
-	snap := cached.CacheSnapshot().(*Snapshot)
+	snap := cached.Cache().Stats()
 	if snap.Misses != 1 {
 		t.Errorf("misses = %d, want exactly 1 leader", snap.Misses)
 	}
@@ -152,7 +152,7 @@ func TestFollowerCancellationMidFlight(t *testing.T) {
 		followerDone <- err
 	}()
 	// The follower must have joined (coalesced counter) before we cancel.
-	waitFor(t, func() bool { return cached.CacheSnapshot().(*Snapshot).Coalesced == 1 })
+	waitFor(t, func() bool { return cached.Cache().Stats().Coalesced == 1 })
 	cancel()
 	select {
 	case err := <-followerDone:
@@ -167,7 +167,7 @@ func TestFollowerCancellationMidFlight(t *testing.T) {
 	if err := <-leaderDone; err != nil {
 		t.Fatalf("leader failed after follower cancellation: %v", err)
 	}
-	if snap := cached.CacheSnapshot().(*Snapshot); snap.Entries != 1 {
+	if snap := cached.Cache().Stats(); snap.Entries != 1 {
 		t.Errorf("completed flight not cached: %+v", snap)
 	}
 }
@@ -204,7 +204,7 @@ func TestAllWaitersGoneCancelsFlight(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("execution context never canceled after every waiter left")
 	}
-	if snap := cached.CacheSnapshot().(*Snapshot); snap.Entries != 0 {
+	if snap := cached.Cache().Stats(); snap.Entries != 0 {
 		t.Errorf("failed flight was cached: %+v", snap)
 	}
 }
@@ -226,7 +226,7 @@ func TestPartialResultsNotCached(t *testing.T) {
 			t.Fatal("partial flag lost")
 		}
 	}
-	snap := cached.CacheSnapshot().(*Snapshot)
+	snap := cached.Cache().Stats()
 	if snap.Misses != 2 || snap.Hits != 0 || snap.Entries != 0 {
 		t.Errorf("partial results must not cache: %+v", snap)
 	}
@@ -288,7 +288,7 @@ func TestBatchDeduplicatesAndGroupsMisses(t *testing.T) {
 	if want := []int32{1, 2, 3}; !int32sEqual(innerBatches[0], want) {
 		t.Errorf("inner batch = %v, want unique misses %v", innerBatches[0], want)
 	}
-	snap := cached.CacheSnapshot().(*Snapshot)
+	snap := cached.Cache().Stats()
 	if snap.Hits != 2 { // 7 twice
 		t.Errorf("hits = %d, want 2", snap.Hits)
 	}
@@ -320,7 +320,7 @@ func TestGenerationBumpInvalidates(t *testing.T) {
 	if _, err := cached.QueryContext(context.Background(), core.Indexed, 0, 3); err != nil {
 		t.Fatal(err)
 	}
-	if snap := cached.CacheSnapshot().(*Snapshot); snap.Hits != 1 {
+	if snap := cached.Cache().Stats(); snap.Hits != 1 {
 		t.Fatalf("warm lookup missed: %+v", snap)
 	}
 
@@ -329,7 +329,7 @@ func TestGenerationBumpInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := cached.CacheSnapshot().(*Snapshot)
+	snap := cached.Cache().Stats()
 	if snap.Misses != 2 {
 		t.Errorf("post-bump lookup served stale generation: %+v", snap)
 	}
@@ -457,7 +457,7 @@ func TestJoiningAbandonedFlightRetries(t *testing.T) {
 		joinerDone <- err
 	}()
 	// The joiner must be on the dying flight before it completes.
-	waitFor(t, func() bool { return cached.CacheSnapshot().(*Snapshot).Coalesced == 1 })
+	waitFor(t, func() bool { return cached.Cache().Stats().Coalesced == 1 })
 	close(target.release)
 	select {
 	case err := <-joinerDone:

@@ -57,9 +57,8 @@ type Config struct {
 	MaxBytes int64
 	// Shards overrides the lock-shard count (0 = 16).
 	Shards int
-	// Metrics backs the cache counters with the shared instrument
-	// catalog, so /metrics and the /statsz cache section read the same
-	// storage. Nil uses standalone (unregistered) instruments.
+	// Metrics is the instrument catalog the cache counts into, which
+	// /metrics renders. Nil uses standalone (unregistered) instruments.
 	Metrics *obs.Metrics
 }
 
@@ -237,19 +236,16 @@ func (c *Cache) insert(s *shard, k key, res *core.Result) {
 	}
 }
 
-// Snapshot is the cache section of /statsz. Field names are wire format:
-// add, never rename.
+// Snapshot is the cache's counters, read back from its obs instruments,
+// and its current occupancy.
 type Snapshot struct {
-	Hits      int64   `json:"hits"`
-	Misses    int64   `json:"misses"`
-	Coalesced int64   `json:"coalesced"`
-	HitRate   float64 `json:"hit_rate"`
-	Inserts   int64   `json:"inserts"`
-	Evictions int64   `json:"evictions"`
-	Entries   int64   `json:"entries"`
-	Bytes     int64   `json:"bytes"`
-	MaxBytes  int64   `json:"max_bytes"`
-	InFlight  int     `json:"in_flight"`
+	Hits      int64
+	Misses    int64
+	Coalesced int64
+	Inserts   int64
+	Evictions int64
+	Entries   int64
+	Bytes     int64
 }
 
 // Stats returns the cache counters and current occupancy.
@@ -265,12 +261,7 @@ func (c *Cache) Stats() Snapshot {
 		s.mu.Lock()
 		snap.Entries += int64(len(s.entries))
 		snap.Bytes += s.bytes
-		snap.MaxBytes += s.maxBytes
-		snap.InFlight += len(s.flights)
 		s.mu.Unlock()
-	}
-	if lookups := snap.Hits + snap.Misses + snap.Coalesced; lookups > 0 {
-		snap.HitRate = float64(snap.Hits) / float64(lookups)
 	}
 	return snap
 }

@@ -39,7 +39,7 @@ type ShardBackend interface {
 	Size() int
 	// Indexed reports whether the backend serves Indexed queries.
 	Indexed() bool
-	// Describe labels the backend in /statsz and logs.
+	// Describe labels the backend in logs and ClusterSnapshot.
 	Describe() string
 	// Close releases backend resources.
 	Close() error
@@ -110,7 +110,7 @@ func (s *LocalShard) Indexed() bool { return s.pool.Indexed() }
 func (s *LocalShard) HubLabeled() bool { return s.pool.HubLabeled() }
 
 // HubLabelBytes reports the shard labeling's memory footprint for the
-// coordinator's /statsz sum.
+// coordinator's sum.
 func (s *LocalShard) HubLabelBytes() int64 { return s.pool.HubLabelBytes() }
 
 // Describe implements ShardBackend.
@@ -276,15 +276,20 @@ func (s *RemoteShard) Mutate(ctx context.Context, ms []graph.Mutation) (live.Mut
 }
 
 // ProbeGeneration asks the remote backend its current graph generation
-// over /statsz. The mutate retry guard uses it to detect a batch the
-// server committed even though the response was lost in transit —
-// re-sending such a batch would double-apply it.
+// over /healthz, whose document carries it even while the server drains
+// (503). The mutate retry guard uses it to detect a batch the server
+// committed even though the response was lost in transit — re-sending
+// such a batch would double-apply it.
 func (s *RemoteShard) ProbeGeneration(ctx context.Context) (uint64, error) {
-	doc, err := s.client.Stats(ctx)
-	if err != nil {
+	doc, err := s.client.Health(ctx)
+	gen, ok := doc["generation"].(float64)
+	if !ok {
+		if err == nil {
+			err = fmt.Errorf("cluster: shard %s reports no generation", s.url)
+		}
 		return 0, err
 	}
-	return doc.Generation, nil
+	return uint64(gen), nil
 }
 
 // LiveShard serves a shard from an in-process live store: the mutable
@@ -361,10 +366,6 @@ func (s *LiveShard) Mutate(ctx context.Context, ms []graph.Mutation) (live.Mutat
 // Generation exposes the store's graph generation (cache keying and the
 // coordinator's merge-consistency check).
 func (s *LiveShard) Generation() uint64 { return s.store.Generation() }
-
-// MutationSnapshot exposes the store's mutation counters for the
-// coordinator's /statsz aggregation.
-func (s *LiveShard) MutationSnapshot() any { return s.store.MutationSnapshot() }
 
 // Size implements ShardBackend.
 func (s *LiveShard) Size() int { return s.store.Size() }

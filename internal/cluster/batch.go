@@ -21,7 +21,6 @@ type batchState struct {
 	stats    []core.Stats
 	partial  []bool
 
-	maxShard    time.Duration
 	transferred int
 	rpcs        int
 	answered    int // shards that answered
@@ -40,7 +39,6 @@ func (c *Coordinator) batchScatter(ctx context.Context, a core.Algorithm, querie
 	if len(queries) == 0 {
 		return []*core.Result{}, nil
 	}
-	start := time.Now()
 	P := len(c.backends)
 
 	targets, skipped := c.availableShards()
@@ -114,7 +112,12 @@ func (c *Coordinator) batchScatter(ctx context.Context, a core.Algorithm, querie
 		}
 		results[qi] = res
 	}
-	c.metrics.observeBatch(time.Since(start), st.maxShard, st.rpcs, len(queries), st.transferred)
+	// Transfer counts entries over every (shard, query) pair, as the
+	// per-query path does, so the counter means the same in both modes.
+	c.om.ClusterBatches.Inc()
+	c.om.ClusterBatchRPCs.Add(int64(st.rpcs))
+	c.om.ClusterBatchQueries.Add(int64(len(queries)))
+	c.om.ClusterTransferred.Add(int64(st.transferred))
 	return results, nil
 }
 
@@ -126,33 +129,22 @@ func (c *Coordinator) batchGather(ctx context.Context, a core.Algorithm, queries
 	psp.SetAttr("shards", int64(len(targets)))
 	psp.SetAttr("k", int64(k))
 	type out struct {
-		shard   int
-		res     []*core.Result
-		err     error
-		elapsed time.Duration
+		shard int
+		res   []*core.Result
+		err   error
 	}
 	outs := make(chan out, len(targets))
 	for _, shard := range targets {
 		go func(shard int) {
-			sm := c.metrics.shards[shard]
-			sm.inFlight.Add(1)
 			csp := tr.BeginShard(obs.StageScatter, shard)
 			csp.SetAttr("queries", int64(len(queries)))
-			t0 := time.Now()
 			res, err := c.backends[shard].QueryBatch(ctx, a, queries, k)
-			elapsed := time.Since(t0)
 			if err != nil {
 				csp.SetAttr("error", 1)
 			}
 			tr.End(csp)
-			sm.inFlight.Add(-1)
-			c.metrics.observeShard(shard, elapsed, err)
-			failure := err != nil && !fatalQueryError(err)
-			if _, isOverload := overloadHint(err); isOverload {
-				failure = false // shedding load is the admission layer working, not ill health
-			}
-			c.health[shard].record(!failure, c.cfg.failureThreshold(), c.cfg.retryBackoff())
-			outs <- out{shard: shard, res: res, err: err, elapsed: elapsed}
+			c.recordShard(shard, err)
+			outs <- out{shard: shard, res: res, err: err}
 		}(shard)
 	}
 
@@ -168,9 +160,6 @@ func (c *Coordinator) batchGather(ctx context.Context, a core.Algorithm, queries
 				if res.Partial {
 					st.partial[qi] = true
 				}
-			}
-			if o.elapsed > st.maxShard {
-				st.maxShard = o.elapsed
 			}
 			continue
 		}

@@ -193,7 +193,7 @@ func TestBatchOneShardTripped(t *testing.T) {
 }
 
 // TestBatchRPCCounters: a batch costs exactly ONE RPC per shard, and the
-// /statsz counters say so.
+// coordinator's counters say so.
 func TestBatchRPCCounters(t *testing.T) {
 	g := tg.Path(40)
 	const shards, k = 2, 6
@@ -219,9 +219,6 @@ func TestBatchRPCCounters(t *testing.T) {
 		if s.Queries != 1 {
 			t.Errorf("shard %d served %d RPCs, want 1", s.ID, s.Queries)
 		}
-	}
-	if snap.Batch.Window != 1 {
-		t.Errorf("batch latency window = %d, want 1", snap.Batch.Window)
 	}
 }
 

@@ -61,6 +61,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,9 +98,9 @@ type Config struct {
 	// next query probes it again (<= 0 defaults to 5s).
 	RetryBackoff time.Duration
 
-	// Metrics backs the coordinator counters with the shared instrument
-	// catalog, so /metrics and the /statsz cluster section read the same
-	// storage. Nil uses standalone (unregistered) instruments.
+	// Metrics is the instrument catalog the coordinator and its replica
+	// groups count into, which /metrics renders. Nil uses standalone
+	// (unregistered) instruments.
 	Metrics *obs.Metrics
 }
 
@@ -145,7 +146,7 @@ func (h *shardHealth) claimProbe(now time.Time, threshold int) bool {
 	return false
 }
 
-// healthy is the read-only view for /statsz: it never claims the probe.
+// healthy is the read-only view: it never claims the probe.
 func (h *shardHealth) healthy(threshold int) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -182,8 +183,12 @@ type Coordinator struct {
 	backends []ShardBackend
 	cfg      Config
 	health   []shardHealth
-	metrics  *metrics
-	closed   atomic.Bool
+	om       *obs.Metrics
+	// shardCalls counts the calls to each shard, resolved once from
+	// rkranks_cluster_shard_calls_total so every shard's series shows
+	// from the first scrape.
+	shardCalls []*obs.Counter
+	closed     atomic.Bool
 
 	// mutateMu serializes cluster-wide mutation batches so shard
 	// generations advance in lockstep: batch n lands everywhere before
@@ -199,12 +204,21 @@ func New(backends []ShardBackend, cfg Config) (*Coordinator, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("cluster: at least one shard backend is required")
 	}
-	return &Coordinator{
-		backends: backends,
-		cfg:      cfg,
-		health:   make([]shardHealth, len(backends)),
-		metrics:  newMetrics(len(backends), cfg.Metrics),
-	}, nil
+	om := cfg.Metrics
+	if om == nil {
+		om = obs.NewMetrics(nil)
+	}
+	c := &Coordinator{
+		backends:   backends,
+		cfg:        cfg,
+		health:     make([]shardHealth, len(backends)),
+		om:         om,
+		shardCalls: make([]*obs.Counter, len(backends)),
+	}
+	for i := range c.shardCalls {
+		c.shardCalls[i] = om.ClusterShardCalls.With(strconv.Itoa(i))
+	}
+	return c, nil
 }
 
 // NewLocal builds an in-process cluster: one masked engine pool per shard
@@ -295,9 +309,10 @@ func (c *Coordinator) HubLabeled() bool {
 	return true
 }
 
-// HubLabelBytes implements the /statsz footprint probe: the sum of the
-// shard labelings' footprints (remote shards, which do not expose one,
-// contribute 0 — their bytes live in their own /statsz).
+// HubLabelBytes implements the footprint probe behind
+// rkranks_hub_label_bytes: the sum of the shard labelings' footprints
+// (remote shards, which do not expose one, contribute 0 — their bytes
+// are on their own /metrics).
 func (c *Coordinator) HubLabelBytes() int64 {
 	var total int64
 	for _, b := range c.backends {
@@ -332,15 +347,59 @@ func (c *Coordinator) Generation() uint64 {
 	return gen
 }
 
-// ClusterSnapshot implements the server /statsz probe.
+// Snapshot is the coordinator's counters, read back from the same obs
+// instruments /metrics renders, plus each shard's health. The
+// end-to-end benchmark (bench/e2e) and the experiments read it in
+// process.
+type Snapshot struct {
+	Queries int64
+	// EntriesTransferred counts result entries moved from shards to the
+	// coordinator. The merged k keeps it below shards x k x queries
+	// (what a naive full-k gather moves).
+	EntriesTransferred int64
+	// Escalations and ShortCircuited always read 0: they counted the
+	// second scatter round and the shards that skipped it, and every
+	// query now takes one round. They stay while bench/e2e reads them.
+	Escalations    int64
+	ShortCircuited int64
+	// Batches counts batch scatters; BatchRPCs the shard calls they
+	// spent (one per available shard per batch); BatchQueries the
+	// queries they carried.
+	Batches      int64
+	BatchRPCs    int64
+	BatchQueries int64
+
+	Shards []ShardSnapshot
+}
+
+// ShardSnapshot is one shard's description, health and call count.
+type ShardSnapshot struct {
+	ID        int
+	Backend   string
+	Available bool
+	Queries   int64 // calls, as rkranks_cluster_shard_calls_total{shard}
+}
+
+// ClusterSnapshot returns a *Snapshot of the coordinator. The result is
+// typed any because bench/e2e asserts it to *cluster.Snapshot.
 func (c *Coordinator) ClusterSnapshot() any {
-	snap := c.metrics.snapshot()
-	for i := range snap.Shards {
-		snap.Shards[i].Backend = c.backends[i].Describe()
-		snap.Shards[i].Size = c.backends[i].Size()
-		snap.Shards[i].Available = c.health[i].healthy(c.cfg.failureThreshold())
+	snap := &Snapshot{
+		Queries:            c.om.ClusterQueries.Value(),
+		EntriesTransferred: c.om.ClusterTransferred.Value(),
+		Batches:            c.om.ClusterBatches.Value(),
+		BatchRPCs:          c.om.ClusterBatchRPCs.Value(),
+		BatchQueries:       c.om.ClusterBatchQueries.Value(),
+		Shards:             make([]ShardSnapshot, len(c.backends)),
 	}
-	return &snap
+	for i, b := range c.backends {
+		snap.Shards[i] = ShardSnapshot{
+			ID:        i,
+			Backend:   b.Describe(),
+			Available: c.health[i].healthy(c.cfg.failureThreshold()),
+			Queries:   c.shardCalls[i].Value(),
+		}
+	}
+	return snap
 }
 
 // Close releases every backend.
@@ -364,17 +423,15 @@ func (c *Coordinator) Query(a core.Algorithm, q int32, k int) (*core.Result, err
 
 // shardOut is one shard RPC's outcome.
 type shardOut struct {
-	shard   int
-	res     *core.Result
-	err     error
-	elapsed time.Duration
+	shard int
+	res   *core.Result
+	err   error
 }
 
 // gatherState accumulates a query's shard answers.
 type gatherState struct {
 	results     []*core.Result // answer per shard, nil = none
 	stats       core.Stats     // work summed over the shards
-	maxShard    time.Duration
 	transferred int
 	partial     bool
 	overloaded  []int
@@ -408,7 +465,7 @@ func (c *Coordinator) QueryContext(ctx context.Context, a core.Algorithm, q int3
 		res, err := c.queryOnce(ctx, a, q, k)
 		var gs *GenerationSkewError
 		if errors.As(err, &gs) && attempt < skewRetries && ctx.Err() == nil {
-			c.metrics.skewRetries.Inc()
+			c.om.SkewRetries.Inc()
 			continue
 		}
 		return res, err
@@ -417,7 +474,6 @@ func (c *Coordinator) QueryContext(ctx context.Context, a core.Algorithm, q int3
 
 // queryOnce is one scatter-gather attempt of QueryContext.
 func (c *Coordinator) queryOnce(ctx context.Context, a core.Algorithm, q int32, k int) (*core.Result, error) {
-	start := time.Now()
 	P := len(c.backends)
 
 	targets, skipped := c.availableShards()
@@ -463,7 +519,11 @@ func (c *Coordinator) queryOnce(ctx context.Context, a core.Algorithm, q int32, 
 		Generation: gen,
 		Stats:      st.stats,
 	}
-	c.metrics.observeQuery(time.Since(start), st.maxShard, st.transferred, st.partial)
+	c.om.ClusterQueries.Inc()
+	if st.partial {
+		c.om.ClusterPartials.Inc()
+	}
+	c.om.ClusterTransferred.Add(int64(st.transferred))
 	return res, nil
 }
 
@@ -550,26 +610,16 @@ func (c *Coordinator) gather(ctx context.Context, a core.Algorithm, q int32, k i
 		wg.Add(1)
 		go func(idx, shard int) {
 			defer wg.Done()
-			sm := c.metrics.shards[shard]
-			sm.inFlight.Add(1)
 			csp := tr.BeginShard(obs.StageScatter, shard)
-			t0 := time.Now()
 			res, err := c.backends[shard].Query(ctx, a, q, k)
-			elapsed := time.Since(t0)
 			if err == nil {
 				csp.SetAttr("entries", int64(len(res.Entries)))
 			} else {
 				csp.SetAttr("error", 1)
 			}
 			tr.End(csp)
-			sm.inFlight.Add(-1)
-			c.metrics.observeShard(shard, elapsed, err)
-			failure := err != nil && !fatalQueryError(err)
-			if _, isOverload := overloadHint(err); isOverload {
-				failure = false // shedding load is the admission layer working, not ill health
-			}
-			c.health[shard].record(!failure, c.cfg.failureThreshold(), c.cfg.retryBackoff())
-			outs[idx] = shardOut{shard: shard, res: res, err: err, elapsed: elapsed}
+			c.recordShard(shard, err)
+			outs[idx] = shardOut{shard: shard, res: res, err: err}
 		}(idx, shard)
 	}
 	wg.Wait()
@@ -582,9 +632,6 @@ func (c *Coordinator) gather(ctx context.Context, a core.Algorithm, q int32, k i
 			st.answered++
 			if o.res.Partial {
 				st.partial = true
-			}
-			if o.elapsed > st.maxShard {
-				st.maxShard = o.elapsed
 			}
 			continue
 		}
@@ -608,6 +655,20 @@ func (c *Coordinator) gather(ctx context.Context, a core.Algorithm, q int32, k i
 	}
 	tr.End(psp)
 	return psp
+}
+
+// recordShard counts one shard call and feeds its outcome to the
+// shard's health tracking.
+func (c *Coordinator) recordShard(shard int, err error) {
+	c.shardCalls[shard].Inc()
+	if err != nil {
+		c.om.ClusterShardFailures.Inc()
+	}
+	failure := err != nil && !fatalQueryError(err)
+	if _, isOverload := overloadHint(err); isOverload {
+		failure = false // shedding load is the admission layer working, not ill health
+	}
+	c.health[shard].record(!failure, c.cfg.failureThreshold(), c.cfg.retryBackoff())
 }
 
 // gatherError turns a scatter's fatal outcomes into the query's error:
@@ -737,21 +798,6 @@ func (c *Coordinator) Mutate(ctx context.Context, ms []graph.Mutation) (live.Mut
 		info.Rebuilt = info.Rebuilt || in.Rebuilt
 	}
 	return info, nil
-}
-
-// MutationSnapshot aggregates the shards' mutation counters for /statsz
-// (nil when no shard is live).
-func (c *Coordinator) MutationSnapshot() any {
-	out := make(map[string]any)
-	for i, b := range c.backends {
-		if msn, ok := b.(interface{ MutationSnapshot() any }); ok {
-			out[fmt.Sprintf("shard_%d", i)] = msn.MutationSnapshot()
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }
 
 var (

@@ -11,6 +11,7 @@ import (
 	"rkranks/internal/core"
 	"rkranks/internal/graph"
 	"rkranks/internal/live"
+	"rkranks/internal/obs"
 )
 
 // churnGraph builds a parallel-edge-free random graph for mutation tests.
@@ -71,7 +72,8 @@ func TestLocalLiveEquivalence(t *testing.T) {
 // same generation, and the coordinator reports it.
 func TestLiveClusterLockstep(t *testing.T) {
 	g := churnGraph(30, 5)
-	coord, err := NewLocalLive(g, live.Config{PoolSize: 1}, 0, Modulo{}, 4, Config{})
+	om := obs.NewMetrics(nil)
+	coord, err := NewLocalLive(g, live.Config{PoolSize: 1, Metrics: om}, 0, Modulo{}, 4, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +104,9 @@ func TestLiveClusterLockstep(t *testing.T) {
 			t.Fatalf("batch %d: coordinator reports %d, want %d", i, coord.Generation(), want)
 		}
 	}
-	if coord.MutationSnapshot() == nil {
-		t.Fatal("live cluster reports no mutation snapshot")
+	// The four shard stores count into one catalog.
+	if got := om.MutationBatches.Value(); got != 4*3 {
+		t.Fatalf("mutation batches counted %d, want %d", got, 4*3)
 	}
 
 	// Validation failures reject the whole fan-out before touching any shard.

@@ -305,13 +305,13 @@ func (g *ReplicaGroup) recoverToHighWater(ctx context.Context) {
 }
 
 // generationProber is the over-the-wire generation probe (RemoteShard
-// asks /statsz); in-process backends expose Generation directly.
+// asks /healthz); in-process backends expose Generation directly.
 type generationProber interface {
 	ProbeGeneration(ctx context.Context) (uint64, error)
 }
 
 // currentGeneration reads a backend's CURRENT generation for the mutate
-// retry guard: in process via Generation, remotely via a /statsz probe.
+// retry guard: in process via Generation, remotely via a /healthz probe.
 // ok=false means the backend has no generation concept or the probe
 // failed, so an applied-but-errored batch cannot be detected and the
 // caller falls back to the plain retry.
@@ -528,21 +528,6 @@ func (g *ReplicaGroup) HubLabelBytes() int64 {
 		}
 	}
 	return max
-}
-
-// MutationSnapshot aggregates the replicas' mutation counters for
-// /statsz (nil when no replica is live).
-func (g *ReplicaGroup) MutationSnapshot() any {
-	out := make(map[string]any)
-	for i, b := range g.replicas {
-		if msn, ok := b.(interface{ MutationSnapshot() any }); ok {
-			out[fmt.Sprintf("replica_%d", i)] = msn.MutationSnapshot()
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }
 
 // Describe implements ShardBackend.

@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"rkranks/internal/graph"
 	"rkranks/internal/live"
 	"rkranks/internal/obs"
+	"rkranks/internal/server"
 	tg "rkranks/internal/testgraphs"
 	"rkranks/internal/workload"
 )
@@ -558,6 +561,76 @@ func TestReplicaGroupMutateAppliedDespiteError(t *testing.T) {
 	}
 	if ghost.Generation() != 2 {
 		t.Fatalf("ghost replica at generation %d, want 2 (exactly one apply)", ghost.Generation())
+	}
+}
+
+// bootLiveServer serves a live store over a copy of g behind
+// internal/server, through wrap when it is not nil.
+func bootLiveServer(t *testing.T, g *graph.Graph, wrap func(http.Handler) http.Handler) (*server.Server, *live.Store, *RemoteShard) {
+	t.Helper()
+	store, err := live.NewStore(g.Clone(), live.Config{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Backend: store, Graph: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	rs, err := NewRemoteShard(context.Background(), ts.URL, RemoteExpect{Nodes: g.N()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, store, rs
+}
+
+// TestRemoteReplicaMutateAppliedDespiteAbort is the retry guard over the
+// wire: a replica server that commits a batch and then drops the
+// connection is probed through /healthz, not sent the batch again, and
+// the probe still reads the generation once that server drains (503).
+func TestRemoteReplicaMutateAppliedDespiteAbort(t *testing.T) {
+	g := tg.Path(20)
+	ctx := context.Background()
+	var mutates atomic.Int32
+	lossySrv, lossyStore, lossy := bootLiveServer(t, g, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/mutate" {
+				h.ServeHTTP(w, r)
+				return
+			}
+			mutates.Add(1)
+			h.ServeHTTP(httptest.NewRecorder(), r) // commits; the answer goes nowhere
+			panic(http.ErrAbortHandler)
+		})
+	})
+	_, store, sibling := bootLiveServer(t, g, nil)
+	rg, err := NewReplicaGroup([]ShardBackend{lossy, sibling}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	info, err := rg.Mutate(ctx, []graph.Mutation{graph.SetWeight(0, 1, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mutates.Load(); got != 1 {
+		t.Fatalf("batch sent %d times to the lossy replica, want 1 (re-sending double-applies)", got)
+	}
+	if info.Generation != 2 || lossyStore.Generation() != 2 || store.Generation() != 2 {
+		t.Fatalf("generations: batch %d, lossy replica %d, sibling %d; want 2 each",
+			info.Generation, lossyStore.Generation(), store.Generation())
+	}
+
+	if err := lossySrv.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if gen, err := lossy.ProbeGeneration(ctx); err != nil || gen != 2 {
+		t.Fatalf("probe of a draining replica = %d, %v; want 2, nil", gen, err)
 	}
 }
 

@@ -31,7 +31,7 @@ type Pool struct {
 	// Permit accounting: occupied counts engines currently borrowed, peak
 	// is the high-water mark since construction. A response cache sitting
 	// in front of the pool coalesces duplicate queries onto one leader, and
-	// these gauges are how tests (and /statsz readers) verify that N
+	// these gauges are how tests verify that N
 	// concurrent duplicates really did admit a single engine permit.
 	occupied atomic.Int64
 	peak     atomic.Int64
@@ -81,7 +81,7 @@ func (p *Pool) Size() int { return cap(p.engines) }
 
 // CSRBytes reports the memory footprint of the CSR views every engine in
 // the pool traverses (they share the graph's one copy). The serving layer
-// probes this capability for /statsz.
+// samples it as the rkranks_csr_bytes gauge.
 func (p *Pool) CSRBytes() int64 { return p.g.CSRBytes() }
 
 // Index returns the shared index, or nil for an index-free pool.
@@ -98,7 +98,7 @@ func (p *Pool) Indexed() bool { return p.idx != nil }
 func (p *Pool) HubLabeled() bool { return p.labels != nil }
 
 // HubLabelBytes reports the memory footprint of the shared hub labeling,
-// 0 without one. The serving layer probes this capability for /statsz.
+// 0 without one. The serving layer samples it as rkranks_hub_label_bytes.
 func (p *Pool) HubLabelBytes() int64 {
 	if p.labels == nil {
 		return 0

@@ -14,8 +14,8 @@ import (
 // counters feed the Table 11 analysis.
 //
 // The json tags define the wire schema internal/server exposes in query
-// responses and /statsz aggregates; like the stats.Table tags they are a
-// frozen format — add fields if needed, never rename these keys.
+// responses; like the stats.Table tags they are a frozen format — add
+// fields if needed, never rename these keys.
 type Stats struct {
 	// Refinements counts GetRank invocations (partial Dijkstra searches).
 	Refinements int `json:"refinements"`
@@ -54,7 +54,8 @@ type Stats struct {
 	// LabelFallbacks counts HubLabel candidates the labeling could not
 	// disqualify, which therefore fell back to a CSR Dijkstra rank
 	// refinement. LabelFallbacks / (LabelFallbacks + LabelPruned) is the
-	// fallback rate /statsz reports.
+	// fallback rate, from rkranks_label_fallbacks_total and
+	// rkranks_label_pruned_total on /metrics.
 	LabelFallbacks int `json:"label_fallbacks"`
 	// LabelScanned counts inverted-list entries visited by hub-label scans.
 	LabelScanned int64 `json:"label_entries_scanned"`

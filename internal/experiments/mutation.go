@@ -58,11 +58,9 @@ func (r *Runner) Mutation() (*stats.Table, error) {
 		}
 	}
 
-	patchBatches := r.cfg.Queries
-	rebuildBatches := r.cfg.Queries / 4
-	if rebuildBatches < 3 {
-		rebuildBatches = 3
-	}
+	// Each apply p99 cell summarises at least minTimedBatches batches.
+	patchBatches := max(r.cfg.Queries, minTimedBatches)
+	rebuildBatches := max(r.cfg.Queries/4, minTimedBatches)
 	const opsPerPatch = 8
 
 	var inserted [][2]int32

@@ -17,6 +17,11 @@ import (
 	"rkranks/internal/workload"
 )
 
+// minTimedBatches is the fewest batches a p99 cell of serving_batch or
+// mutation summarises, at every scale: a p99 over a dozen batches is
+// their maximum, which one scheduler hiccup sets.
+const minTimedBatches = 100
+
 // servingBatchShards fixes the cluster width of the serving_batch sweep:
 // wide enough that batch scatter has RPCs to save, narrow enough that
 // the Small scale stays fast.
@@ -58,11 +63,6 @@ func (r *Runner) ServingBatch() (*stats.Table, error) {
 				shutdown()
 				return nil, err
 			}
-			cached, err := cache.NewBackend(coord, cache.Config{MaxBytes: 8 << 20})
-			if err != nil {
-				shutdown()
-				return nil, err
-			}
 			baseShards, baseShutdown, err := remoteShardBackends(g)
 			if err != nil {
 				shutdown()
@@ -76,36 +76,52 @@ func (r *Runner) ServingBatch() (*stats.Table, error) {
 			}
 
 			baseRes, baseElapsed, _, err := runBatchStream(baseline, stream, batch, k)
-			if err == nil {
+			// The stream runs in passes, each over a fresh cache, until the
+			// p99 summarises minTimedBatches batches; every pass sees the
+			// same duplicates, so the cache columns read one pass.
+			passes := (minTimedBatches*batch + n - 1) / n
+			var lats []float64
+			var elapsed time.Duration
+			var cs cache.Snapshot
+			for p := 0; p < passes && err == nil; p++ {
+				var cached *cache.Backend
+				if cached, err = cache.NewBackend(coord, cache.Config{MaxBytes: 8 << 20}); err != nil {
+					break
+				}
 				var gotRes []*core.Result
-				var elapsed time.Duration
-				var p99 float64
-				gotRes, elapsed, p99, err = runBatchStream(cached, stream, batch, k)
-				if err == nil {
-					for i := range stream {
-						if !sameEntries(gotRes[i].Entries, baseRes[i].Entries) {
-							err = fmt.Errorf("serving_batch: cached batch scatter diverged from baseline at query %d", stream[i])
-							break
-						}
-					}
-					if err == nil {
-						cs := cached.CacheSnapshot().(*cache.Snapshot)
-						cl := coord.ClusterSnapshot().(*cluster.Snapshot)
-						rpcsPerQuery := 0.0
-						if cl.BatchQueries > 0 {
-							rpcsPerQuery = float64(cl.BatchRPCs) / float64(cl.BatchQueries)
-						}
-						goodput := float64(n) / elapsed.Seconds()
-						baseGoodput := float64(n) / baseElapsed.Seconds()
-						t.Add("dblp", batch, fmt.Sprintf("%.0f", 100*dup),
-							fmt.Sprintf("%.0f", goodput),
-							fmt.Sprintf("%.0f", baseGoodput),
-							fmt.Sprintf("%.2fx", goodput/baseGoodput),
-							fmt.Sprintf("%.2f", p99),
-							fmt.Sprintf("%.0f%%", 100*cs.HitRate),
-							cs.Coalesced, fmt.Sprintf("%.2f", rpcsPerQuery))
+				var el time.Duration
+				var ls []float64
+				if gotRes, el, ls, err = runBatchStream(cached, stream, batch, k); err != nil {
+					break
+				}
+				for i := range stream {
+					if !sameEntries(gotRes[i].Entries, baseRes[i].Entries) {
+						err = fmt.Errorf("serving_batch: cached batch scatter diverged from baseline at query %d", stream[i])
+						break
 					}
 				}
+				lats = append(lats, ls...)
+				elapsed += el
+				cs = cached.Cache().Stats()
+			}
+			if err == nil {
+				cl := coord.ClusterSnapshot().(*cluster.Snapshot)
+				rpcsPerQuery, hitRate := 0.0, 0.0
+				if cl.BatchQueries > 0 {
+					rpcsPerQuery = float64(cl.BatchRPCs) / float64(cl.BatchQueries)
+				}
+				if lookups := cs.Hits + cs.Misses + cs.Coalesced; lookups > 0 {
+					hitRate = float64(cs.Hits) / float64(lookups)
+				}
+				goodput := float64(passes*n) / elapsed.Seconds()
+				baseGoodput := float64(n) / baseElapsed.Seconds()
+				t.Add("dblp", batch, fmt.Sprintf("%.0f", 100*dup),
+					fmt.Sprintf("%.0f", goodput),
+					fmt.Sprintf("%.0f", baseGoodput),
+					fmt.Sprintf("%.2fx", goodput/baseGoodput),
+					fmt.Sprintf("%.2f", 1000*stats.Percentile(lats, 99)),
+					fmt.Sprintf("%.0f%%", 100*hitRate),
+					cs.Coalesced, fmt.Sprintf("%.2f", rpcsPerQuery))
 			}
 			_ = coord.Close()
 			_ = baseline.Close()
@@ -117,6 +133,7 @@ func (r *Runner) ServingBatch() (*stats.Table, error) {
 		}
 	}
 	t.Note("%d queries per point over %d remote HTTP shards; duplicates repeat a uniformly random earlier stream position", n, servingBatchShards)
+	t.Note("the cached+batched stack runs the stream in passes, each over a fresh cache, until its p99 covers at least %d batches", minTimedBatches)
 	t.Note("every cached+batched result is asserted byte-identical to the uncached per-query baseline before it counts")
 	t.Note("goodput gains compound: the cache elides duplicate engine work (bounding speedup at 1/(1-dup) on one core), batch scatter amortizes per-RPC cost and keeps every shard busy — the pipelining term needs multiple cores to show in wall clock")
 	return t, nil
@@ -202,9 +219,9 @@ func duplicateStream(g *graph.Graph, n int, dup float64, seed int64) []int32 {
 }
 
 // runBatchStream issues the stream in fixed-size batches, returning the
-// per-query results, total elapsed time, and the p99 per-batch latency
-// in milliseconds.
-func runBatchStream(b batchBackend, stream []int32, batch, k int) ([]*core.Result, time.Duration, float64, error) {
+// per-query results, total elapsed time, and each batch's latency in
+// seconds.
+func runBatchStream(b batchBackend, stream []int32, batch, k int) ([]*core.Result, time.Duration, []float64, error) {
 	results := make([]*core.Result, 0, len(stream))
 	var lats []float64
 	start := time.Now()
@@ -213,12 +230,12 @@ func runBatchStream(b batchBackend, stream []int32, batch, k int) ([]*core.Resul
 		t0 := time.Now()
 		rs, err := b.QueryManyContext(context.Background(), core.Dynamic, stream[lo:hi], k)
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, 0, nil, err
 		}
 		lats = append(lats, time.Since(t0).Seconds())
 		results = append(results, rs...)
 	}
-	return results, time.Since(start), 1000 * stats.Percentile(lats, 99), nil
+	return results, time.Since(start), lats, nil
 }
 
 // batchBackend is the slice of the backend surface runBatchStream needs.

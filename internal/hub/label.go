@@ -427,7 +427,7 @@ func (l *Labels) Entries() int64 {
 }
 
 // Bytes reports the labeling's memory footprint: every slab it retains,
-// the figure /statsz exposes as hub_label_bytes.
+// the figure /metrics exposes as rkranks_hub_label_bytes.
 func (l *Labels) Bytes() int64 {
 	b := int64(len(l.hubs))*4 + int64(len(l.hubOrd))*4
 	b += int64(len(l.outOff)+len(l.outHub))*4 + int64(len(l.outDist))*8

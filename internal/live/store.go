@@ -91,10 +91,10 @@ type Config struct {
 	// (cluster shard masks must cover vertices added after boot). Nil
 	// uses Options.Candidates, extended with true for added vertices.
 	CandidateFunc func(*graph.Graph) ([]bool, error)
-	// Metrics mirrors the mutation counters into the shared instrument
-	// catalog for /metrics. The store keeps its own atomics as well: in
-	// an in-process live cluster every shard store shares one catalog
-	// (process-wide totals) while MutationSnapshot stays per-shard.
+	// Metrics is the instrument catalog the store counts its mutation
+	// batches, patches, rebuilds and relabels into (/metrics). Stores that
+	// share one catalog, like the shards of an in-process live cluster,
+	// sum into it. Nil uses standalone (unregistered) instruments.
 	Metrics *obs.Metrics
 }
 
@@ -128,17 +128,6 @@ type MutateInfo struct {
 	Edges int64
 }
 
-// Snapshot is the /statsz mutation section (api.Snapshot.Mutations).
-type Snapshot struct {
-	Generation     uint64 `json:"generation"`
-	AppliedBatches uint64 `json:"applied_batches"`
-	AppliedOps     uint64 `json:"applied_ops"`
-	Patches        uint64 `json:"patches"`
-	Rebuilds       uint64 `json:"rebuilds"`
-	Relabels       uint64 `json:"relabels"`
-	LabelsStale    bool   `json:"labels_stale"`
-}
-
 // Store is the live mutable backend. It serves the same query surface as
 // core.Pool (so it satisfies server.Backend and cache.Target unchanged)
 // plus Mutate, and is safe for any mix of concurrent queries and
@@ -157,14 +146,8 @@ type Store struct {
 	stateMu sync.RWMutex
 	state   atomic.Pointer[state]
 
-	batches  atomic.Uint64
-	ops      atomic.Uint64
-	patches  atomic.Uint64
-	rebuilds atomic.Uint64
-	relabels atomic.Uint64
-
-	// om mirrors the counters above into the shared catalog (never nil;
-	// standalone instruments when Config.Metrics is unset).
+	// om holds the mutation counters (never nil; standalone instruments
+	// when Config.Metrics is unset).
 	om *obs.Metrics
 
 	relabeling atomic.Bool
@@ -340,19 +323,6 @@ func (s *Store) LabelsStale() bool {
 	return s.hubLabeled && s.state.Load().labels == nil
 }
 
-// MutationSnapshot implements the server /statsz probe.
-func (s *Store) MutationSnapshot() any {
-	return &Snapshot{
-		Generation:     s.Generation(),
-		AppliedBatches: s.batches.Load(),
-		AppliedOps:     s.ops.Load(),
-		Patches:        s.patches.Load(),
-		Rebuilds:       s.rebuilds.Load(),
-		Relabels:       s.relabels.Load(),
-		LabelsStale:    s.LabelsStale(),
-	}
-}
-
 // --- mutation path ------------------------------------------------------
 
 // Mutate applies one atomic batch: either every mutation applies and the
@@ -391,8 +361,6 @@ func (s *Store) Mutate(ctx context.Context, ms []graph.Mutation) (MutateInfo, er
 	if err != nil {
 		return MutateInfo{}, err
 	}
-	s.batches.Add(1)
-	s.ops.Add(uint64(len(ms)))
 	s.om.MutationBatches.Inc()
 	s.om.MutationOps.Add(int64(len(ms)))
 	if info.Rebuilt {
@@ -434,7 +402,6 @@ func (s *Store) applyPatch(cur *state, next *graph.EdgeStore, ms []graph.Mutatio
 	s.state.Store(st)
 	release()
 	s.stateMu.Unlock()
-	s.patches.Add(1)
 	return MutateInfo{Generation: st.gen, Nodes: st.g.N(), Edges: st.g.M()}, nil
 }
 
@@ -461,7 +428,6 @@ func (s *Store) applyRebuild(cur *state, next *graph.EdgeStore) (MutateInfo, err
 	s.stateMu.Lock()
 	s.state.Store(st)
 	s.stateMu.Unlock()
-	s.rebuilds.Add(1)
 	return MutateInfo{Generation: st.gen, Rebuilt: true, Nodes: g2.N(), Edges: g2.M()}, nil
 }
 
@@ -518,7 +484,6 @@ func (s *Store) relabelUntilFresh() {
 		s.stateMu.Lock()
 		s.state.Store(fresh)
 		s.stateMu.Unlock()
-		s.relabels.Add(1)
 		s.om.MutationRelabels.Inc()
 		s.mutateMu.Unlock()
 		return

@@ -11,6 +11,7 @@ import (
 	"rkranks/internal/core"
 	"rkranks/internal/graph"
 	"rkranks/internal/hub"
+	"rkranks/internal/obs"
 	"rkranks/internal/ridx"
 	tg "rkranks/internal/testgraphs"
 )
@@ -38,7 +39,8 @@ func TestNewStoreValidation(t *testing.T) {
 
 func TestStorePatchVsRebuildCounters(t *testing.T) {
 	ctx := context.Background()
-	s := mustStore(t, tg.Path(12), Config{PoolSize: 1})
+	om := obs.NewMetrics(nil)
+	s := mustStore(t, tg.Path(12), Config{PoolSize: 1, Metrics: om})
 
 	if gen := s.Generation(); gen != 1 {
 		t.Fatalf("boot generation %d, want 1", gen)
@@ -62,13 +64,10 @@ func TestStorePatchVsRebuildCounters(t *testing.T) {
 		t.Fatalf("rebuild info: %+v", info)
 	}
 
-	snap, ok := s.MutationSnapshot().(*Snapshot)
-	if !ok {
-		t.Fatalf("MutationSnapshot: %T", s.MutationSnapshot())
-	}
-	if snap.Generation != 3 || snap.AppliedBatches != 2 || snap.AppliedOps != 3 ||
-		snap.Patches != 1 || snap.Rebuilds != 1 {
-		t.Fatalf("snapshot: %+v", snap)
+	if s.Generation() != 3 || om.MutationBatches.Value() != 2 || om.MutationOps.Value() != 3 ||
+		om.MutationPatches.Value() != 1 || om.MutationRebuilds.Value() != 1 {
+		t.Fatalf("generation %d, batches %d, ops %d, patches %d, rebuilds %d", s.Generation(),
+			om.MutationBatches.Value(), om.MutationOps.Value(), om.MutationPatches.Value(), om.MutationRebuilds.Value())
 	}
 
 	// New vertices are queryable after the rebuild.
@@ -85,7 +84,8 @@ func TestStoreLabelLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := mustStore(t, g, Config{PoolSize: 1, Labels: labels})
+	om := obs.NewMetrics(nil)
+	s := mustStore(t, g, Config{PoolSize: 1, Labels: labels, Metrics: om})
 
 	if !s.HubLabeled() || s.LabelsStale() {
 		t.Fatal("boot state must be labeled and fresh")
@@ -113,9 +113,8 @@ func TestStoreLabelLifecycle(t *testing.T) {
 	if s.LabelsStale() {
 		t.Fatal("labels still stale after AwaitLabels")
 	}
-	snap := s.MutationSnapshot().(*Snapshot)
-	if snap.Relabels == 0 {
-		t.Fatalf("no relabel recorded: %+v", snap)
+	if om.MutationRelabels.Value() == 0 {
+		t.Fatal("no relabel recorded")
 	}
 	// Relabeling must not have moved the generation (labels cannot change
 	// answers).

@@ -10,7 +10,7 @@ package obs
 //   - everything is prefixed rkranks_
 //   - counters end in _total, durations in _seconds
 //   - label cardinality is closed and tiny (route class, stage, status
-//     class) — never a query, node ID, or request ID
+//     class, shard index) — never a query, node ID, or request ID
 type Metrics struct {
 	reg *Registry
 
@@ -36,6 +36,7 @@ type Metrics struct {
 	ClusterPartials      *Counter
 	ClusterTransferred   *Counter
 	ClusterShardFailures *Counter
+	ClusterShardCalls    *CounterVec // shard
 	ClusterBatches       *Counter
 	ClusterBatchRPCs     *Counter
 	ClusterBatchQueries  *Counter
@@ -111,6 +112,8 @@ func NewMetrics(r *Registry) *Metrics {
 		"Result entries moved coordinator-ward across all rounds.")
 	m.ClusterShardFailures = r.NewCounter("rkranks_cluster_shard_failures_total",
 		"Shard RPC failures observed by the coordinator.")
+	m.ClusterShardCalls = r.NewCounterVec("rkranks_cluster_shard_calls_total",
+		"Shard calls issued by the coordinator (one per query or batch per shard), by shard index.", "shard")
 	m.ClusterBatches = r.NewCounter("rkranks_cluster_batches_total",
 		"Batch scatters coordinated.")
 	m.ClusterBatchRPCs = r.NewCounter("rkranks_cluster_batch_rpcs_total",
@@ -187,6 +190,8 @@ var gaugeDefs = map[string]string{
 	"rkranks_cache_entries":      "Entries held by the response cache.",
 	"rkranks_csr_bytes":          "Bytes held by the CSR graph layout.",
 	"rkranks_hub_label_bytes":    "Bytes held by the hub labeling.",
+	"rkranks_index_seq":          "Position of the replicated index's own delta log (a follower's, not its cursor into the leader's).",
+	"rkranks_index_generation":   "Generation of the replicated index (bumped when its answers are invalidated).",
 }
 
 // RegisterGauge wires a sampling source for one of the known gauges.

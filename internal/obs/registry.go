@@ -6,8 +6,8 @@
 //
 // Instrument NAMES live only in this package. Other packages receive
 // handles (via Metrics) and call Inc/Add/Observe; CI rejects instrument
-// construction anywhere else so /metrics, /statsz, and the docs can
-// never drift apart.
+// construction anywhere else so /metrics and the docs can never drift
+// apart. /metrics is the serving stack's one stats surface.
 package obs
 
 import (
@@ -145,12 +145,13 @@ var DefBuckets = []float64{
 }
 
 // Histogram is a fixed-bucket histogram with cumulative exposition.
-// Observe is lock-free. Nil receivers no-op.
+// Observe is lock-free. Nil receivers no-op. The count is the sum of the
+// buckets, never a separate atomic: a scrape racing Observe then still
+// prints a _count equal to its +Inf bucket.
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1; last bucket is +Inf
 	sum    atomic.Uint64  // float64 bits
-	count  atomic.Int64
 }
 
 func newHistogram(buckets []float64) *Histogram {
@@ -170,7 +171,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -185,7 +185,11 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }
 
 // Sum returns the sum of observed values.
@@ -341,7 +345,7 @@ func (h *Histogram) write(b *strings.Builder, name string, labels, vals []string
 	b.WriteByte('\n')
 	writeName(b, name+"_count", labels, vals, "")
 	b.WriteByte(' ')
-	b.WriteString(strconv.FormatInt(h.Count(), 10))
+	b.WriteString(strconv.FormatInt(cum, 10))
 	b.WriteByte('\n')
 }
 

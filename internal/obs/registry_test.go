@@ -6,6 +6,7 @@ import (
 	"os"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -37,6 +38,8 @@ func buildCatalog() *Registry {
 	m.CacheHits.Add(2)
 	m.CacheMisses.Inc()
 	m.ClusterQueries.Inc()
+	m.ClusterShardCalls.With("1").Add(2)
+	m.ClusterShardCalls.With("0").Inc()
 	m.SkewRetries.Inc()
 	m.MutationBatches.Inc()
 	m.MutationOps.Add(5)
@@ -48,6 +51,8 @@ func buildCatalog() *Registry {
 
 	m.RegisterGauge("rkranks_in_flight_requests", func() float64 { return 2 })
 	m.RegisterGauge("rkranks_generation", func() float64 { return 5 })
+	m.RegisterGauge("rkranks_index_seq", func() float64 { return 1234 })
+	m.RegisterGauge("rkranks_index_generation", func() float64 { return 3 })
 	return reg
 }
 
@@ -143,6 +148,48 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 	}
 	if h.Count() != 5 {
 		t.Errorf("Count = %d", h.Count())
+	}
+}
+
+// TestHistogramCountMatchesInfUnderObserve scrapes while goroutines
+// observe: every scrape must print a _count equal to its +Inf bucket, as
+// the text format requires.
+func TestHistogramCountMatchesInfUnderObserve(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.NewHistogram("x_seconds", "test", []float64{0.001, 0.01})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, v := range []float64{0.005, 0.05} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(v)
+				}
+			}
+		}()
+	}
+	defer wg.Wait()
+	defer close(stop)
+
+	inf := regexp.MustCompile(`(?m)^x_seconds_bucket\{le="\+Inf"\} (\d+)$`)
+	count := regexp.MustCompile(`(?m)^x_seconds_count (\d+)$`)
+	for i := 0; i < 2000; i++ {
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		a, c := inf.FindStringSubmatch(b.String()), count.FindStringSubmatch(b.String())
+		if a == nil || c == nil {
+			t.Fatalf("scrape %d lacks the +Inf bucket or _count:\n%s", i, b.String())
+		}
+		if a[1] != c[1] {
+			t.Fatalf("scrape %d: +Inf bucket %s, _count %s", i, a[1], c[1])
+		}
 	}
 }
 

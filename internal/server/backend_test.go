@@ -16,7 +16,7 @@ import (
 	tg "rkranks/internal/testgraphs"
 )
 
-// fakeBackend implements Backend (plus the optional cluster probes) so
+// fakeBackend implements Backend (plus the optional cluster probe) so
 // the server's backend abstraction is tested without a dependency on
 // internal/cluster — whose own tests cover the real coordinator behind
 // this same interface.
@@ -24,7 +24,6 @@ type fakeBackend struct {
 	err     error
 	partial bool
 	shards  int
-	cluster any
 }
 
 func (f *fakeBackend) QueryContext(ctx context.Context, a core.Algorithm, q int32, k int) (*core.Result, error) {
@@ -51,10 +50,9 @@ func (f *fakeBackend) QueryManyContext(ctx context.Context, a core.Algorithm, qu
 	return out, nil
 }
 
-func (f *fakeBackend) Size() int            { return 2 }
-func (f *fakeBackend) Indexed() bool        { return false }
-func (f *fakeBackend) ShardCount() int      { return f.shards }
-func (f *fakeBackend) ClusterSnapshot() any { return f.cluster }
+func (f *fakeBackend) Size() int       { return 2 }
+func (f *fakeBackend) Indexed() bool   { return false }
+func (f *fakeBackend) ShardCount() int { return f.shards }
 
 // overloadErr mimics cluster.OverloadedError without importing it (that
 // would be an import cycle from this in-package test).
@@ -156,61 +154,44 @@ func TestBackendShardUnavailableMapsTo503(t *testing.T) {
 	}
 }
 
-// TestHealthzAndStatszClusterSections: shard count on /healthz, the
-// cluster document on /statsz.
-func TestHealthzAndStatszClusterSections(t *testing.T) {
-	cl := map[string]any{"queries": 1, "shards": []any{map[string]any{"id": 0}}}
-	ts := newBackendServer(t, &fakeBackend{shards: 4, cluster: cl})
+// TestHealthzClusterFields: a cluster-shaped backend's shard count and
+// capacity on /healthz.
+func TestHealthzClusterFields(t *testing.T) {
+	ts := newBackendServer(t, &fakeBackend{shards: 4})
 
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var health map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
+	health := mustDecode(t, resp)
 	if health["shards"] != float64(4) {
 		t.Errorf("healthz shards = %v", health["shards"])
 	}
 	if health["pool_size"] != float64(2) {
 		t.Errorf("healthz pool_size = %v", health["pool_size"])
 	}
-
-	resp2, err := http.Get(ts.URL + "/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var snap Snapshot
-	if err := json.NewDecoder(resp2.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	doc, ok := snap.Cluster.(map[string]any)
-	if !ok {
-		t.Fatalf("statsz cluster section = %#v", snap.Cluster)
-	}
-	if doc["queries"] != float64(1) {
-		t.Errorf("cluster section lost data: %v", doc)
-	}
 }
 
-// TestPoolStatszHasNoClusterSection: single-node servers must not grow a
-// cluster section.
-func TestPoolStatszHasNoClusterSection(t *testing.T) {
+// TestPoolHealthzHasNoClusterFields: single-node servers report no shard
+// count, and GET /statsz, the retired JSON stats document, is gone.
+func TestPoolHealthzHasNoClusterFields(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{}, false)
-	resp, err := http.Get(ts.URL + "/statsz")
+	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	raw, err := json.Marshal(mustDecode(t, resp))
+	if doc := mustDecode(t, resp); doc["shards"] != nil {
+		t.Errorf("pool healthz grew a shard count: %v", doc)
+	}
+	resp2, err := http.Get(ts.URL + "/statsz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(raw), "\"cluster\"") {
-		t.Errorf("pool statsz grew a cluster section: %s", raw)
+	resp2.Body.Close()
+	if resp2.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /statsz: status %d, want 404", resp2.StatusCode)
 	}
 }
 
@@ -224,11 +205,11 @@ func mustDecode(t *testing.T, resp *http.Response) map[string]any {
 }
 
 // TestCachedBackendProbesThroughDecorator: wrapping a cluster-shaped
-// backend in the response cache keeps the cluster probes working (they
-// walk the Unwrap chain) and adds the cache section to /statsz with
-// moving hit counters.
+// backend in the response cache keeps the cluster probe working (it
+// walks the Unwrap chain), the cache's counters move, and /metrics
+// samples its occupancy.
 func TestCachedBackendProbesThroughDecorator(t *testing.T) {
-	inner := &fakeBackend{shards: 3, cluster: map[string]any{"queries": 7}}
+	inner := &fakeBackend{shards: 3}
 	cached, err := cache.NewBackend(inner, cache.Config{MaxBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -257,23 +238,10 @@ func TestCachedBackendProbesThroughDecorator(t *testing.T) {
 		t.Errorf("healthz shards through cache decorator = %v, want 3", health["shards"])
 	}
 
-	sresp, err := http.Get(ts.URL + "/statsz")
-	if err != nil {
-		t.Fatal(err)
+	if st := cached.Cache().Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("cache counters = hits %d misses %d, want 1/1", st.Hits, st.Misses)
 	}
-	defer sresp.Body.Close()
-	var snap Snapshot
-	if err := json.NewDecoder(sresp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := snap.Cluster.(map[string]any); !ok {
-		t.Errorf("cluster section lost behind the cache decorator: %#v", snap.Cluster)
-	}
-	doc, ok := snap.Cache.(map[string]any)
-	if !ok {
-		t.Fatalf("statsz cache section = %#v", snap.Cache)
-	}
-	if doc["hits"] != float64(1) || doc["misses"] != float64(1) {
-		t.Errorf("cache counters = hits %v misses %v, want 1/1", doc["hits"], doc["misses"])
+	if got := scrape(t, ts.URL)["rkranks_cache_entries"]; got != 1 {
+		t.Errorf("rkranks_cache_entries = %v, want 1", got)
 	}
 }

@@ -133,10 +133,11 @@ func TestRequestzSpans(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint: /metrics is valid Prometheus text carrying the
-// request counters and per-stage histograms this PR exists to expose.
+// TestMetricsEndpoint: /metrics is mounted by default and serves valid
+// Prometheus text carrying the request counters and per-stage
+// histograms.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{EnableMetrics: true}, false)
+	_, ts, _ := newTestServer(t, Config{}, false)
 	c := api.NewClient(ts.URL)
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
@@ -174,10 +175,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestStatszLatencyByRoute: the /statsz percentile windows are keyed by
-// route class, so batch traffic no longer skews the query window; the
-// historic top-level latency_ms is the query route's.
-func TestStatszLatencyByRoute(t *testing.T) {
+// TestRequestDurationByRoute: the latency histograms are keyed by route
+// class, so batch traffic never lands in the query route's series, and
+// scraping /metrics is not itself counted as a request.
+func TestRequestDurationByRoute(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{}, false)
 	c := api.NewClient(ts.URL)
 	ctx := context.Background()
@@ -187,24 +188,19 @@ func TestStatszLatencyByRoute(t *testing.T) {
 	if _, err := c.Batch(ctx, "dynamic", []int32{1, 2, 3, 4}, 5, 0); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	scrape(t, ts.URL)
+	m := scrape(t, ts.URL)
+	for route, want := range map[string]float64{"query": 1, "batch": 1, "mutate": 0, "other": 0} {
+		if got := m[`rkranks_request_duration_seconds_count{route="`+route+`"}`]; got != want {
+			t.Errorf("%s route latency count = %v, want %v", route, got, want)
+		}
 	}
-	if snap.Latency.Window != 1 {
-		t.Errorf("top-level latency window = %d, want 1 (query route only)", snap.Latency.Window)
+	var requests float64
+	for _, route := range routeClasses {
+		requests += m[`rkranks_requests_total{route="`+route+`"}`]
 	}
-	if got := snap.LatencyByRoute["query"].Window; got != 1 {
-		t.Errorf("query route window = %d, want 1", got)
-	}
-	if got := snap.LatencyByRoute["batch"].Window; got != 1 {
-		t.Errorf("batch route window = %d, want 1", got)
-	}
-	if _, ok := snap.LatencyByRoute["mutate"]; ok {
-		t.Error("mutate window present without any mutation")
-	}
-	if snap.RequestsTotal != 2 {
-		t.Errorf("requests_total = %d, want 2 (statsz itself is uncounted)", snap.RequestsTotal)
+	if requests != 2 {
+		t.Errorf("requests counted = %v, want 2 (/metrics itself is uncounted)", requests)
 	}
 }
 

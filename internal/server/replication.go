@@ -5,7 +5,7 @@
 //	GET /v1/index/snapshot          binary ridx format + cursor headers
 //	GET /v1/index/deltas?since=N    JSON batch of refinement deltas
 //
-// Both bypass admission control like /statsz: replication traffic must
+// Both bypass admission control like /healthz: replication traffic must
 // keep flowing while the query path is saturated, or a struggling
 // replica could never catch up and rejoin. The capability is probed
 // through the backend's Unwrap chain — a pool whose shared index is
@@ -96,21 +96,4 @@ func (s *Server) handleIndexDeltas(w http.ResponseWriter, r *http.Request) {
 	}
 	s.om.IndexDeltasServed.Add(int64(len(ds)))
 	s.respond(w, r, start, http.StatusOK, resp, nil, 0)
-}
-
-// replicationSnapshot fills the /statsz replication section when the
-// backend serves a replicated index.
-func (s *Server) replicationSnapshot() *api.ReplicationSnapshot {
-	repl, ok := s.replicatedIndex()
-	if !ok {
-		return nil
-	}
-	return &api.ReplicationSnapshot{
-		IndexSeq:             repl.Seq(),
-		IndexGeneration:      repl.Generation(),
-		IndexSnapshotsServed: s.om.IndexSnapshotsServed.Value(),
-		IndexDeltasServed:    s.om.IndexDeltasServed.Value(),
-		IndexSnapshotsLoaded: s.om.IndexSnapshotsLoaded.Value(),
-		IndexDeltasApplied:   s.om.IndexDeltasApplied.Value(),
-	}
 }

@@ -83,8 +83,8 @@ func isUnimplemented(err error) bool {
 
 // TestIndexSnapshotRoundTrip: the snapshot body streams the ridx on-disk
 // format with cursor headers; reading it back reproduces the
-// leader's exact dictionary state, and /statsz grows a replication
-// section counting the serve.
+// leader's exact dictionary state, and /metrics counts the serve and
+// samples the index's log position.
 func TestIndexSnapshotRoundTrip(t *testing.T) {
 	repl, ts := newReplicatedServer(t, 0)
 	for i := int32(0); i < 50; i++ {
@@ -112,23 +112,13 @@ func TestIndexSnapshotRoundTrip(t *testing.T) {
 	}
 	indexStateEqual(t, follower.Sharded(), repl)
 
-	resp, err := http.Get(ts.URL + "/statsz")
-	if err != nil {
-		t.Fatal(err)
+	m := scrape(t, ts.URL)
+	if m["rkranks_index_snapshots_served_total"] < 1 {
+		t.Errorf("index snapshots served = %v, want >= 1", m["rkranks_index_snapshots_served_total"])
 	}
-	defer resp.Body.Close()
-	var snap Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Replication == nil {
-		t.Fatal("statsz has no replication section on a replicated backend")
-	}
-	if snap.Replication.IndexSnapshotsServed < 1 {
-		t.Errorf("index_snapshots_served = %d, want >= 1", snap.Replication.IndexSnapshotsServed)
-	}
-	if snap.Replication.IndexSeq != repl.Seq() {
-		t.Errorf("statsz index_seq = %d, want %d", snap.Replication.IndexSeq, repl.Seq())
+	if m["rkranks_index_seq"] != float64(repl.Seq()) || m["rkranks_index_generation"] != float64(repl.Generation()) {
+		t.Errorf("index gauges seq %v generation %v, want %d and %d",
+			m["rkranks_index_seq"], m["rkranks_index_generation"], repl.Seq(), repl.Generation())
 	}
 }
 

@@ -1,5 +1,4 @@
-// Package server is the HTTP/JSON serving layer over core.Pool: the
-// network surface the ROADMAP's "heavy traffic" north star needs. It wraps
+// Package server is the HTTP/JSON serving layer over core.Pool. It wraps
 // a pool (built with NewPoolWithIndex, all traffic feeds one shared
 // concurrent index) with the machinery a real service requires and the
 // engine layer does not provide:
@@ -11,9 +10,10 @@
 //   - per-request deadlines threaded as context into the engine layer,
 //     which cancels the SDS-tree traversal and every in-flight rank
 //     refinement within a bounded number of settles;
-//   - observability: /healthz, /statsz (QPS, p50/p99 latency, pool
-//     occupancy, aggregated engine counters), and structured JSON access
-//     logs;
+//   - observability: /healthz, /metrics (the obs catalog in Prometheus
+//     text: request counts and latency histograms by route, per-stage
+//     latency, admission occupancy, engine counters), the
+//     /debug/requestz flight recorder, and structured JSON access logs;
 //   - graceful drain: Drain stops admission (503) while every admitted
 //     request runs to completion, so a SIGTERM never drops an in-flight
 //     response.
@@ -27,7 +27,8 @@
 //	GET  /v1/index/snapshot (binary index snapshot; see replication.go)
 //	GET  /v1/index/deltas?since=N
 //	GET  /healthz
-//	GET  /statsz
+//	GET  /metrics
+//	GET  /debug/requestz
 package server
 
 import (
@@ -78,24 +79,23 @@ type Mutator interface {
 // server needs no dependency on internal/cluster or internal/cache:
 //
 //   - interface{ ShardCount() int } extends /healthz with the shard count;
-//   - interface{ ClusterSnapshot() any } extends /statsz with the
-//     per-shard occupancy and scatter-gather latency breakdown;
-//   - interface{ CacheSnapshot() any } extends /statsz with the response
-//     cache's hit/coalesce/eviction counters and byte occupancy;
-//   - interface{ CSRBytes() int64 } extends /statsz with the memory
-//     footprint of the CSR graph views the backend traverses
+//   - interface{ CSRBytes() int64 } samples the rkranks_csr_bytes gauge,
+//     the memory footprint of the CSR graph views the backend traverses
 //     (core.Pool implements it; the server's own graph is the fallback);
 //   - interface{ HubLabeled() bool } extends /healthz with whether the
 //     backend serves HubLabel queries, and
-//     interface{ HubLabelBytes() int64 } extends /statsz with the hub
-//     labeling's memory footprint (core.Pool and cluster coordinators
-//     implement both);
-//   - interface{ Generation() uint64 } extends /statsz with the backend's
-//     graph generation, interface{ MutationSnapshot() any } with the live
-//     mutation counters, and interface{ Graph() *graph.Graph } lets
-//     /healthz report the current (possibly mutated) graph instead of the
-//     boot-time one (live stores and mutation-fanning coordinators
-//     implement all three);
+//     interface{ HubLabelBytes() int64 } samples rkranks_hub_label_bytes
+//     (core.Pool and cluster coordinators implement both);
+//   - interface{ CacheBytes() int64 } and interface{ CacheEntries() int64 }
+//     sample the response cache's occupancy gauges;
+//   - interface{ Generation() uint64 } extends /healthz with the backend's
+//     graph generation and samples rkranks_generation, and
+//     interface{ Graph() *graph.Graph } lets /healthz report the current
+//     (possibly mutated) graph instead of the boot-time one (live stores
+//     and mutation-fanning coordinators implement both);
+//   - interface{ Index() ridx.Index } holding a *ridx.Replicated serves
+//     the replication endpoints and samples rkranks_index_seq and
+//     rkranks_index_generation;
 //   - interface{ Unwrap() any } marks a decorator (the response cache):
 //     probes walk the chain, so a cached cluster still reports its
 //     shards;
@@ -173,18 +173,14 @@ type Config struct {
 	// of merging overlapping candidate classes silently wrong.
 	HealthExtra map[string]any
 
-	// Metrics is the observability catalog the server records into. Share
-	// one instance (built with obs.NewMetrics over one registry) across
-	// the cache, cluster, live store, and server of a process so /metrics
-	// aggregates them all. Nil creates a private registry-backed catalog.
-	// At most one Server may record into a registry-backed catalog — the
-	// server registers the admission gauges against it.
+	// Metrics is the observability catalog the server records into and
+	// serves at GET /metrics when it has a registry. Share one instance
+	// (built with obs.NewMetrics over one registry) across the cache,
+	// cluster, live store, and server of a process so /metrics aggregates
+	// them all. Nil creates a private registry-backed catalog. At most one
+	// Server may record into a registry-backed catalog — the server
+	// registers its gauges against it.
 	Metrics *obs.Metrics
-	// EnableMetrics mounts GET /metrics (Prometheus text exposition) on
-	// the serving mux. Off by default, like pprof: the endpoint exposes
-	// operational internals, so production opts in deliberately
-	// (rkserve/rkcluster -metrics).
-	EnableMetrics bool
 	// SlowQueryThreshold marks a request slow for the flight recorder
 	// (GET /debug/requestz) and the slow-query log. 0 defaults to 500ms;
 	// negative records every request — the -slow-query-ms 0 debugging
@@ -285,9 +281,8 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/index/snapshot", s.handleIndexSnapshot)
 	s.mux.HandleFunc("GET /v1/index/deltas", s.handleIndexDeltas)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
 	s.mux.Handle("GET /debug/requestz", s.recorder.Handler())
-	if cfg.EnableMetrics && om.Registry() != nil {
+	if om.Registry() != nil {
 		s.mux.Handle("GET /metrics", om.Registry().Handler())
 	}
 	if cfg.EnablePprof {
@@ -335,6 +330,10 @@ func (s *Server) registerGauges() {
 	}
 	if ce, ok := probeBackend[interface{ CacheEntries() int64 }](s.backend); ok {
 		om.RegisterGauge("rkranks_cache_entries", func() float64 { return float64(ce.CacheEntries()) })
+	}
+	if repl, ok := s.replicatedIndex(); ok {
+		om.RegisterGauge("rkranks_index_seq", func() float64 { return float64(repl.Seq()) })
+		om.RegisterGauge("rkranks_index_generation", func() float64 { return float64(repl.Generation()) })
 	}
 }
 
@@ -658,7 +657,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, resp)
 	// Mutations carry no engine stats; their latency lands in the mutate
-	// route's own window, never the query percentiles (a rebuild would
+	// route's own histogram, never the query route's (a rebuild would
 	// read as a latency cliff that never happened to any query).
 	s.observe(r, start, http.StatusOK, nil, 0, slog.Bool("rebuilt", info.Rebuilt))
 }
@@ -693,43 +692,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if hl, ok := probeBackend[interface{ HubLabeled() bool }](s.backend); ok {
 		doc["hub_labeled"] = hl.HubLabeled()
 	}
+	// A draining server reports its generation too: a coordinator's mutate
+	// retry guard reads it to tell an applied batch from a lost one.
+	if gn, ok := probeBackend[interface{ Generation() uint64 }](s.backend); ok {
+		doc["generation"] = gn.Generation()
+	}
 	for k, v := range s.cfg.HealthExtra {
 		if _, reserved := doc[k]; !reserved {
 			doc[k] = v
 		}
 	}
 	writeJSON(w, status, doc)
-}
-
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	snap := s.metrics.snapshot()
-	snap.UptimeSec = time.Since(s.started).Seconds()
-	snap.PoolSize = s.backend.Size()
-	snap.InFlight = len(s.inflightSem)
-	snap.Queued = len(s.queueSem)
-	snap.Draining = s.Draining()
-	if cs, ok := probeBackend[interface{ ClusterSnapshot() any }](s.backend); ok {
-		snap.Cluster = cs.ClusterSnapshot()
-	}
-	if cs, ok := probeBackend[interface{ CacheSnapshot() any }](s.backend); ok {
-		snap.Cache = cs.CacheSnapshot()
-	}
-	if cb, ok := probeBackend[interface{ CSRBytes() int64 }](s.backend); ok {
-		snap.CSRBytes = cb.CSRBytes()
-	} else {
-		snap.CSRBytes = s.cfg.Graph.CSRBytes()
-	}
-	if hb, ok := probeBackend[interface{ HubLabelBytes() int64 }](s.backend); ok {
-		snap.HubLabelBytes = hb.HubLabelBytes()
-	}
-	if gn, ok := probeBackend[interface{ Generation() uint64 }](s.backend); ok {
-		snap.Generation = gn.Generation()
-	}
-	if msn, ok := probeBackend[interface{ MutationSnapshot() any }](s.backend); ok {
-		snap.Mutations = msn.MutationSnapshot()
-	}
-	snap.Replication = s.replicationSnapshot()
-	writeJSON(w, http.StatusOK, snap)
 }
 
 // probeBackend asserts a capability against a backend, walking Unwrap

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -179,8 +181,8 @@ func TestPprofOptIn(t *testing.T) {
 	}
 }
 
-func TestHealthzAndStatsz(t *testing.T) {
-	_, ts, g := newTestServer(t, Config{}, true)
+func TestHealthzAndMetrics(t *testing.T) {
+	s, ts, g := newTestServer(t, Config{}, true)
 	c := api.NewClient(ts.URL)
 	doc, err := c.Health(context.Background())
 	if err != nil {
@@ -189,32 +191,32 @@ func TestHealthzAndStatsz(t *testing.T) {
 	if doc["status"] != "ok" || int(doc["graph_nodes"].(float64)) != g.N() || doc["indexed"] != true {
 		t.Errorf("healthz: %v", doc)
 	}
+	if doc["generation"] != float64(s.cfg.Pool.Generation()) {
+		t.Errorf("healthz generation = %v, want the pool's %d", doc["generation"], s.cfg.Pool.Generation())
+	}
 
 	if _, err := c.Query(context.Background(), "", 3, 5, 0); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := c.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	m := scrape(t, ts.URL)
+	if m[`rkranks_requests_total{route="query"}`] < 1 || m["rkranks_queries_ok_total"] < 1 {
+		t.Errorf("/metrics did not count the query: %v", m)
 	}
-	if snap.RequestsTotal < 1 || snap.QueriesOK < 1 {
-		t.Errorf("statsz did not count the query: %+v", snap)
+	if m["rkranks_engine_refinements_total"]+m["rkranks_engine_index_hits_total"] == 0 {
+		t.Errorf("/metrics missing engine counters: %v", m)
 	}
-	if snap.QueryStats.Refinements+snap.QueryStats.IndexHits+snap.QueryStats.SeededFromIndex == 0 {
-		t.Errorf("statsz missing engine counters: %+v", snap.QueryStats)
+	if m[`rkranks_request_duration_seconds_count{route="query"}`] != 1 {
+		t.Errorf("query latency histogram count = %v, want 1", m[`rkranks_request_duration_seconds_count{route="query"}`])
 	}
-	if snap.Latency.Window < 1 || snap.Latency.P99 < snap.Latency.P50 {
-		t.Errorf("statsz latency window malformed: %+v", snap.Latency)
+	if m["rkranks_pool_size"] != 4 {
+		t.Errorf("pool size %v, want 4", m["rkranks_pool_size"])
 	}
-	if snap.PoolSize != 4 {
-		t.Errorf("pool size %d, want 4", snap.PoolSize)
-	}
-	if snap.CSRBytes <= 0 {
-		t.Errorf("csr_bytes %d, want > 0 after a served query", snap.CSRBytes)
+	if m["rkranks_csr_bytes"] <= 0 {
+		t.Errorf("csr_bytes %v, want > 0 after a served query", m["rkranks_csr_bytes"])
 	}
 
 	// A batch of repeated queries must engage the shared-traversal
-	// executor: the aggregated counter and the derived reuse ratio move.
+	// executor: the engine counter moves.
 	queries := make([]int32, 0, 24)
 	for i := 0; i < 8; i++ {
 		queries = append(queries, 3, 7, 11)
@@ -222,14 +224,8 @@ func TestHealthzAndStatsz(t *testing.T) {
 	if _, err := c.Batch(context.Background(), "dynamic", queries, 5, 0); err != nil {
 		t.Fatal(err)
 	}
-	if snap, err = c.Stats(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if snap.BatchSharedTraversals < 1 {
-		t.Errorf("batch_shared_traversals %d, want >= 1 after a repetitive batch", snap.BatchSharedTraversals)
-	}
-	if snap.TraversalReuseRatio <= 0 || snap.TraversalReuseRatio > 1 {
-		t.Errorf("traversal_reuse_ratio %v, want in (0, 1]", snap.TraversalReuseRatio)
+	if got := scrape(t, ts.URL)["rkranks_engine_shared_traversals_total"]; got < 1 {
+		t.Errorf("shared traversals %v, want >= 1 after a repetitive batch", got)
 	}
 }
 
@@ -371,16 +367,9 @@ func TestDrainNoDroppedResponses(t *testing.T) {
 		}(int32(i))
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		snap, err := c.Stats(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snap.InFlight >= n {
-			break
-		}
+	for scrape(t, ts.URL)["rkranks_in_flight_requests"] < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("requests never became in-flight: %+v", snap)
+			t.Fatal("requests never became in-flight")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -399,8 +388,8 @@ func TestDrainNoDroppedResponses(t *testing.T) {
 	if _, err := c.Query(context.Background(), "dynamic", 1, 5, 0); !isStatus(err, 503) {
 		t.Errorf("query during drain: got %v, want 503", err)
 	}
-	if _, err := c.Health(context.Background()); !isStatus(err, 503) {
-		t.Errorf("healthz during drain: got %v, want 503", err)
+	if doc, err := c.Health(context.Background()); !isStatus(err, 503) || doc["generation"] == nil {
+		t.Errorf("healthz during drain: got %v (%v), want 503 with the generation", err, doc)
 	}
 
 	// Every admitted request completes successfully — zero dropped.
@@ -413,13 +402,38 @@ func TestDrainNoDroppedResponses(t *testing.T) {
 		t.Errorf("drain: %v", err)
 	}
 	// After a completed drain, nothing is in flight.
-	snap, err := c.Stats(context.Background())
+	if m := scrape(t, ts.URL); m["rkranks_in_flight_requests"] != 0 || m["rkranks_draining"] != 1 {
+		t.Errorf("post-drain gauges: in flight %v, draining %v", m["rkranks_in_flight_requests"], m["rkranks_draining"])
+	}
+}
+
+// scrape reads url's /metrics into a map from series (name and labels,
+// as printed) to value.
+func scrape(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.InFlight != 0 || !snap.Draining {
-		t.Errorf("post-drain statsz: %+v", snap)
+	defer resp.Body.Close()
+	out := map[string]float64{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if i < 0 || err != nil {
+			t.Fatalf("bad sample line %q", line)
+		}
+		out[line[:i]] = v
 	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestDrainIdempotent: double drain returns immediately both times.

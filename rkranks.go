@@ -478,7 +478,8 @@ func NewLiveBackend(g *Graph, o LiveOptions) (*LiveBackend, error) {
 // protocol (one error envelope, one request schema, versioned paths).
 type (
 	// Client is a typed HTTP client for the /v1 API: Query, Batch,
-	// Mutate, Stats, Health. Safe for concurrent use.
+	// Mutate, Health, IndexSnapshot, IndexDeltas. Counters are on the
+	// server's GET /metrics. Safe for concurrent use.
 	Client = api.Client
 	// StatusError is the typed error a Client returns for non-2xx
 	// responses: HTTP status, machine-readable code, and the server's

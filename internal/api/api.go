@@ -18,6 +18,14 @@
 //	{"code": "overloaded", "message": "...", "retry_after": 10}
 //
 // Field names are part of the wire protocol: add, never rename.
+//
+// The two answers, QueryResponse and BatchResponse, are encoded and
+// decoded only by the answer codec (codec.go), which writes the bytes
+// encoding/json would and reads them without reflection. So "add, never
+// rename" also means "add to the codec": TestAnswerCodecMatchesEncodingJSON
+// fills every exported field of both answers, core.Stats included, and
+// fails until the codec writes and reads a new one. Requests, the error
+// envelope and the other documents stay with encoding/json.
 package api
 
 import (

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"rkranks/internal/core"
@@ -88,22 +89,24 @@ func (c *Client) Health(ctx context.Context) (map[string]any, error) {
 // (core.WithMergedK) rides along as the request's merged_k.
 func (c *Client) Query(ctx context.Context, algorithm Algorithm, q int32, k int, timeout time.Duration) (*QueryResponse, error) {
 	body := QueryRequest{Algorithm: algorithm, Q: q, K: k, TimeoutMS: timeout.Milliseconds(), MergedK: core.MergedK(ctx)}
-	var resp QueryResponse
-	if err := c.post(ctx, "/v1/query", body, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	var resp *QueryResponse
+	err := c.post(ctx, "/v1/query", body, func(b []byte) (err error) {
+		resp, err = DecodeQueryResponse(b)
+		return err
+	})
+	return resp, err
 }
 
 // Batch posts a multi-query request backed by Pool.QueryMany. Like
 // Query, it sends the merged k ctx carries.
 func (c *Client) Batch(ctx context.Context, algorithm Algorithm, queries []int32, k int, timeout time.Duration) (*BatchResponse, error) {
 	body := BatchRequest{Algorithm: algorithm, Queries: queries, K: k, TimeoutMS: timeout.Milliseconds(), MergedK: core.MergedK(ctx)}
-	var resp BatchResponse
-	if err := c.post(ctx, "/v1/batch", body, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	var resp *BatchResponse
+	err := c.post(ctx, "/v1/batch", body, func(b []byte) (err error) {
+		resp, err = DecodeBatchResponse(b)
+		return err
+	})
+	return resp, err
 }
 
 // Mutate posts one atomic mutation batch to /v1/mutate. When it returns
@@ -115,18 +118,30 @@ func (c *Client) Mutate(ctx context.Context, ms []graph.Mutation, timeout time.D
 		body.Mutations[i] = MutationOf(m)
 	}
 	var resp MutateResponse
-	if err := c.post(ctx, "/v1/mutate", body, &resp); err != nil {
+	err := c.post(ctx, "/v1/mutate", body, func(b []byte) error {
+		return json.NewDecoder(bytes.NewReader(b)).Decode(&resp)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
 
-func (c *Client) post(ctx context.Context, path string, body, dst any) error {
-	buf, err := json.Marshal(body)
+// maxPooledBody caps the response buffers kept in bodyBufs, so that one
+// large batch answer does not stay alive in the pool.
+const maxPooledBody = 64 << 10
+
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// post sends body as JSON to path. A 200 answer's body is read whole into
+// a pooled buffer and handed to decode, which must not keep the slice;
+// any other status becomes a *StatusError.
+func (c *Client) post(ctx context.Context, path string, body any, decode func([]byte) error) error {
+	reqBody, err := json.Marshal(body)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(buf))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(reqBody))
 	if err != nil {
 		return err
 	}
@@ -155,7 +170,15 @@ func (c *Client) post(ctx context.Context, path string, body, dst any) error {
 		}
 		return se
 	}
-	return json.NewDecoder(resp.Body).Decode(dst)
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	if _, err = buf.ReadFrom(resp.Body); err == nil {
+		err = decode(buf.Bytes())
+	}
+	if buf.Cap() <= maxPooledBody {
+		bodyBufs.Put(buf)
+	}
+	return err
 }
 
 // drainClose empties and closes a response body so the transport can

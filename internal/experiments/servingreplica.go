@@ -25,6 +25,12 @@ type deadReplica struct {
 
 var errReplicaDead = errors.New("experiments: replica down")
 
+// minTimedQueries is the fewest queries a mean (ms) cell of
+// serving_replica averages, at every scale, as minTimedBatches is for
+// batches: a mean of a dozen sub-millisecond queries moves with one
+// scheduler hiccup.
+const minTimedQueries = 100
+
 func (d *deadReplica) Query(ctx context.Context, a core.Algorithm, q int32, k int) (*core.Result, error) {
 	return nil, errReplicaDead
 }
@@ -47,7 +53,7 @@ func (r *Runner) ServingReplica() (*stats.Table, error) {
 		"failovers", "transferred (entries)", "refinements")
 	k := maxK(r.cfg.Ks)
 	g := r.DBLP()
-	queries := workload.Random(g, r.cfg.Queries, r.cfg.Seed+47)
+	queries := workload.Random(g, max(r.cfg.Queries, minTimedQueries), r.cfg.Seed+47)
 
 	for _, shards := range shardSweep(r.cfg.Workers) {
 		om := obs.NewMetrics(nil)

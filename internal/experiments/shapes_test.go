@@ -287,16 +287,11 @@ func TestServingHTTPShape(t *testing.T) {
 // columns (goodput, speedup, p99) are only checked to parse: their
 // magnitudes depend on the host.
 func TestServingBatchShape(t *testing.T) {
-	cfg := Small()
-	cfg.Queries = 6 // 48-query streams keep the sweep fast under -race
-	r, err := NewRunner(cfg)
+	tables, err := servingBatchTables()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := r.ServingBatch()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := tables[0]
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4 (2 batch sizes x 2 duplicate rates)", len(tbl.Rows))
 	}

@@ -32,6 +32,11 @@ const (
 	StageLabelScan
 	// StageLiveSnapshot is the wait for a consistent live-store snapshot.
 	StageLiveSnapshot
+	// StageDecode is the server's decode of a request body.
+	StageDecode
+	// StageEncode is the server's encode of a /v1/query or /v1/batch
+	// answer.
+	StageEncode
 
 	numStages
 )
@@ -47,6 +52,8 @@ var stageNames = [NumStages]string{
 	"engine.refine",
 	"label.scan",
 	"live.snapshot",
+	"decode",
+	"encode",
 }
 
 func (s Stage) String() string {

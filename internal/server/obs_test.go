@@ -128,8 +128,39 @@ func TestRequestzSpans(t *testing.T) {
 	if sum > rec.TotalMS+1 {
 		t.Errorf("span durations sum to %.3fms, exceeding total %.3fms", sum, rec.TotalMS)
 	}
-	if want, ok := rec.Spans[len(rec.Spans)-1].Attrs["refinements"]; !ok || want == 0 {
-		t.Errorf("engine span lost its decision counters: %+v", rec.Spans)
+	for _, sp := range rec.Spans {
+		if want, ok := sp.Attrs["refinements"]; sp.Stage == "engine.refine" && (!ok || want == 0) {
+			t.Errorf("engine span lost its decision counters: %+v", rec.Spans)
+		}
+	}
+}
+
+// TestRequestzCodecSpans: a /v1/query trace carries the request body's
+// decode span before admission and the answer's encode span after the
+// engine, so the codec's time is attributed rather than a gap.
+func TestRequestzCodecSpans(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{SlowQueryThreshold: -1}, false)
+	if _, err := api.NewClient(ts.URL).Query(context.Background(), "dynamic", 3, 8, 0); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/debug/requestz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap obs.RecorderSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Slow) != 1 {
+		t.Fatalf("recorded %d requests, want the one query", len(snap.Slow))
+	}
+	var order []string
+	for _, sp := range snap.Slow[0].Spans {
+		order = append(order, sp.Stage)
+	}
+	if want := []string{"decode", "admission", "engine.refine", "encode"}; strings.Join(order, " ") != strings.Join(want, " ") {
+		t.Errorf("spans %v, want %v", order, want)
 	}
 }
 

@@ -95,5 +95,6 @@ func (s *Server) handleIndexDeltas(w http.ResponseWriter, r *http.Request) {
 		RequestID:        tr.ID(),
 	}
 	s.om.IndexDeltasServed.Add(int64(len(ds)))
-	s.respond(w, r, start, http.StatusOK, resp, nil, 0)
+	writeJSON(w, http.StatusOK, resp)
+	s.observe(r, start, http.StatusOK, nil, 0)
 }

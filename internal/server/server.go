@@ -517,7 +517,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := toQueryResponse(res, algo, time.Since(start))
 	resp.RequestID = tr.ID()
-	s.respond(w, r, start, http.StatusOK, resp, &res.Stats, 1,
+	s.respond(w, r, start, func(b []byte) ([]byte, error) { return api.AppendQueryResponse(b, &resp) }, &res.Stats, 1,
 		slog.String("algorithm", algo.String()), slog.Bool("partial", res.Partial))
 }
 
@@ -580,7 +580,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		agg.Add(res.Stats)
 		partial = partial || res.Partial
 	}
-	s.respond(w, r, start, http.StatusOK, resp, &agg, len(results),
+	s.respond(w, r, start, func(b []byte) ([]byte, error) { return api.AppendBatchResponse(b, &resp) }, &agg, len(results),
 		slog.String("algorithm", algo.String()), slog.Bool("partial", partial))
 }
 
@@ -729,10 +729,16 @@ func probeBackend[T any](b any) (T, bool) {
 // fit comfortably.
 const maxBodyBytes = 1 << 20
 
+// decodeBody decodes a request body with encoding/json, whose error text
+// the 400 envelope carries, inside the request's decode span.
 func decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
+	tr := obs.FromContext(r.Context())
+	sp := tr.Begin(obs.StageDecode)
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	err := dec.Decode(dst)
+	tr.End(sp)
+	if err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}
 	return nil
@@ -855,9 +861,34 @@ func (s *Server) reject(w http.ResponseWriter, r *http.Request, start time.Time,
 	s.observe(r, start, status, nil, 0, extra...)
 }
 
-func (s *Server) respond(w http.ResponseWriter, r *http.Request, start time.Time, status int, body any, st *core.Stats, okQueries int, extra ...slog.Attr) {
-	writeJSON(w, status, body)
-	s.observe(r, start, status, st, okQueries, extra...)
+// maxPooledAnswer caps the encode buffers kept in answerBufs, so that one
+// large batch answer does not stay alive in the pool.
+const maxPooledAnswer = 64 << 10
+
+var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// respond sends a 200 answer: encode appends it with the api codec, inside
+// the request's encode span, and the bytes go out in one Write. An encode
+// error (a non-finite elapsed_ms) answers 500 instead.
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, start time.Time, encode func([]byte) ([]byte, error), st *core.Stats, okQueries int, extra ...slog.Attr) {
+	tr := obs.FromContext(r.Context())
+	buf := answerBufs.Get().(*[]byte)
+	sp := tr.Begin(obs.StageEncode)
+	b, err := encode((*buf)[:0])
+	tr.End(sp)
+	if err != nil {
+		answerBufs.Put(buf)
+		s.queryError(w, r, start, err, extra...)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
+	if cap(b) <= maxPooledAnswer {
+		*buf = b
+		answerBufs.Put(buf)
+	}
+	s.observe(r, start, http.StatusOK, st, okQueries, extra...)
 }
 
 // observe closes out one request: metrics (route counters, latency and

@@ -352,7 +352,7 @@ func buildCoordinator(g *graph.Graph, topo *api.Topology,
 			// (rebuild swaps preclude sharing one; see ClusterOptions.Index).
 			indexMaxK = k
 		}
-		return cluster.NewLocalLiveReplicated(g, live.Config{Options: opts, PoolSize: l.PoolSize}, indexMaxK, part, shards, replicas, cfg)
+		return cluster.NewLocalLive(g, live.Config{Options: opts, PoolSize: l.PoolSize}, indexMaxK, part, shards, replicas, cfg)
 	}
 	var ix ridx.Index
 	if buildIndex {
@@ -368,7 +368,7 @@ func buildCoordinator(g *graph.Graph, topo *api.Topology,
 		logger.Info("shared index built", slog.Int("hubs", hn), slog.Int("m", mn),
 			slog.Int("max_k", k), slog.Duration("elapsed", time.Since(start)))
 	}
-	return cluster.NewLocalReplicated(g, opts, part, shards, replicas, l.PoolSize, ix, cfg)
+	return cluster.NewLocal(g, opts, part, shards, replicas, l.PoolSize, ix, cfg)
 }
 
 // loadGraph resolves -graph/-gen. The -gen parameters are shared with

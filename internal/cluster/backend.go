@@ -17,107 +17,56 @@ import (
 
 // A ShardBackend answers reverse k-ranks queries for one vertex shard: the
 // canonical top-k among the shard's candidates, with ranks counted over
-// the whole graph. Implementations must be safe for concurrent use — the
-// coordinator scatters to every shard in parallel and may overlap queries.
-// Every implementation passes ctx down to the engines, since the merged k
-// a coordinator's shard calls carry rides it (core.WithMergedK).
+// the whole graph. Its method set is server.Backend's (and cache.Target's),
+// so a *core.Pool, *live.Store, *cache.Backend, RemoteShard or ReplicaGroup
+// serves as a shard or replica member as it stands. The optional
+// capabilities (Generation, HubLabeled, HubLabelBytes, Mutate) are probed
+// on the member itself, not through a decorator's Unwrap, so a
+// *cache.Backend member hides its target's. Implementations must
+// be safe for concurrent use — the coordinator scatters to every shard in
+// parallel and may overlap queries. Every implementation passes ctx down
+// to the engines, since the merged k a coordinator's shard calls carry
+// rides it (core.WithMergedK).
 type ShardBackend interface {
-	// Query returns the shard-local top-k. Without a merged k on ctx it
-	// is the canonical top-k, and a result shorter than k means the
+	// QueryContext returns the shard-local top-k. Without a merged k on
+	// ctx it is the canonical top-k, and a result shorter than k means the
 	// shard's candidate class is exhausted. With a merged k it may omit
 	// candidates that cannot reach the merged top k; with the merged k
 	// equal to k, as the coordinator sends, it holds every one of the
 	// shard's candidates that is in the merged top k.
-	Query(ctx context.Context, a core.Algorithm, q int32, k int) (*core.Result, error)
-	// QueryBatch answers many queries in ONE round trip — one result per
-	// query, in input order, each with the same semantics as Query. The
-	// coordinator's batch scatter leans on it to spend one RPC per shard
-	// per /v1/batch instead of one per query.
-	QueryBatch(ctx context.Context, a core.Algorithm, queries []int32, k int) ([]*core.Result, error)
+	QueryContext(ctx context.Context, a core.Algorithm, q int32, k int) (*core.Result, error)
+	// QueryManyContext answers many queries in ONE round trip — one result
+	// per query, in input order, each with the same semantics as
+	// QueryContext. The coordinator's batch scatter leans on it to spend
+	// one RPC per shard per /v1/batch instead of one per query.
+	QueryManyContext(ctx context.Context, a core.Algorithm, queries []int32, k int) ([]*core.Result, error)
 	// Size hints how many queries the backend can serve concurrently
 	// (engine slots); the coordinator budgets batch fan-out with it.
 	Size() int
 	// Indexed reports whether the backend serves Indexed queries.
 	Indexed() bool
-	// Describe labels the backend in logs and ClusterSnapshot.
-	Describe() string
-	// Close releases backend resources.
-	Close() error
 }
 
-// LocalShard serves a shard from an in-process engine pool whose
-// Candidates mask restricts results to the shard's vertices.
-type LocalShard struct {
-	pool *core.Pool
-	desc string
-}
-
-// NewLocalShard builds the shard'th of shards in-process backends over g:
-// an engine pool whose candidate class is the partitioner's mask for that
+// localPool builds the shard'th of shards in-process members over g: an
+// engine pool whose candidate class is the partitioner's mask for that
 // shard, intersected with opts.Candidates when the caller is already
 // bichromatic; opts.Candidates itself becomes the cluster's class
 // (core.Options.ClusterCandidates) that merged-k queries bound. ix, when
-// non-nil, must cover g; passing the SAME index to every local shard is
+// non-nil, must cover g; passing the SAME index to every local pool is
 // both safe and desirable — all shards then feed one set of dictionaries,
 // exactly like a single-node pool.
-func NewLocalShard(g *graph.Graph, opts core.Options, part Partitioner, shards, shard, poolSize int, ix ridx.Index) (*LocalShard, error) {
+func localPool(g *graph.Graph, opts core.Options, part Partitioner, shards, shard, poolSize int, ix ridx.Index) (*core.Pool, error) {
 	mask, err := ShardMask(g, part, shards, shard, opts.Candidates)
 	if err != nil {
 		return nil, err
 	}
 	opts.ClusterCandidates = opts.Candidates
 	opts.Candidates = mask
-	var pool *core.Pool
 	if ix != nil {
-		if pool, err = core.NewPoolWithIndex(g, opts, poolSize, ix); err != nil {
-			return nil, err
-		}
-	} else {
-		pool = core.NewPool(g, opts, poolSize)
+		return core.NewPoolWithIndex(g, opts, poolSize, ix)
 	}
-	return &LocalShard{
-		pool: pool,
-		desc: fmt.Sprintf("local[%d/%d %s]", shard, shards, part.Name()),
-	}, nil
+	return core.NewPool(g, opts, poolSize), nil
 }
-
-// Pool exposes the shard's pool (tests and occupancy introspection).
-func (s *LocalShard) Pool() *core.Pool { return s.pool }
-
-// Query implements ShardBackend.
-func (s *LocalShard) Query(ctx context.Context, a core.Algorithm, q int32, k int) (*core.Result, error) {
-	return s.pool.QueryContext(ctx, a, q, k)
-}
-
-// QueryBatch implements ShardBackend; concurrency is bounded by the
-// shard's pool size.
-func (s *LocalShard) QueryBatch(ctx context.Context, a core.Algorithm, queries []int32, k int) ([]*core.Result, error) {
-	return s.pool.QueryManyContext(ctx, a, queries, k)
-}
-
-// Generation exposes the shard pool's answer-set generation for response
-// caches keyed on it (see core.Pool.Generation).
-func (s *LocalShard) Generation() uint64 { return s.pool.Generation() }
-
-// Size implements ShardBackend.
-func (s *LocalShard) Size() int { return s.pool.Size() }
-
-// Indexed implements ShardBackend.
-func (s *LocalShard) Indexed() bool { return s.pool.Indexed() }
-
-// HubLabeled reports whether the shard's pool serves HubLabel queries
-// (the coordinator's capability probe; see Coordinator.HubLabeled).
-func (s *LocalShard) HubLabeled() bool { return s.pool.HubLabeled() }
-
-// HubLabelBytes reports the shard labeling's memory footprint for the
-// coordinator's sum.
-func (s *LocalShard) HubLabelBytes() int64 { return s.pool.HubLabelBytes() }
-
-// Describe implements ShardBackend.
-func (s *LocalShard) Describe() string { return s.desc }
-
-// Close implements ShardBackend.
-func (s *LocalShard) Close() error { return nil }
 
 // RemoteShard serves a shard from a remote rkserve instance (booted with
 // -shard i/P so its pool's candidate class is that shard's mask) through
@@ -181,13 +130,13 @@ func NewRemoteShard(ctx context.Context, url string, expect RemoteExpect) (*Remo
 	return &RemoteShard{client: c, url: url, size: size, indexed: indexed, hubLabeled: hubLabeled}, nil
 }
 
-// Query implements ShardBackend, mapping wire errors back to the typed
-// errors the engine layer would have returned in process: client-fault
-// responses to the core.ErrInvalidArgument family, deadline expiry to
-// context.DeadlineExceeded. 429s keep their api.StatusError (with the
-// parsed Retry-After) so the coordinator can aggregate overload hints;
-// everything else is a shard availability failure.
-func (s *RemoteShard) Query(ctx context.Context, a core.Algorithm, q int32, k int) (*core.Result, error) {
+// QueryContext implements ShardBackend, mapping wire errors back to the
+// typed errors the engine layer would have returned in process:
+// client-fault responses to the core.ErrInvalidArgument family, deadline
+// expiry to context.DeadlineExceeded. 429s keep their api.StatusError
+// (with the parsed Retry-After) so the coordinator can aggregate overload
+// hints; everything else is a shard availability failure.
+func (s *RemoteShard) QueryContext(ctx context.Context, a core.Algorithm, q int32, k int) (*core.Result, error) {
 	resp, err := s.client.Query(ctx, api.AlgorithmOf(a), q, k, 0)
 	if err != nil {
 		return nil, s.mapError(err)
@@ -196,7 +145,7 @@ func (s *RemoteShard) Query(ctx context.Context, a core.Algorithm, q int32, k in
 }
 
 // mapError translates a wire error into the typed error the engine layer
-// would have returned in process (see Query's contract).
+// would have returned in process (see QueryContext's contract).
 func (s *RemoteShard) mapError(err error) error {
 	var se *api.StatusError
 	if errors.As(err, &se) {
@@ -224,10 +173,10 @@ func wireResult(resp *api.QueryResponse, q int32, k int) *core.Result {
 	return res
 }
 
-// QueryBatch implements ShardBackend with a single /v1/batch round trip,
-// the wire counterpart of the coordinator's batch scatter. Errors map
-// exactly like Query's.
-func (s *RemoteShard) QueryBatch(ctx context.Context, a core.Algorithm, queries []int32, k int) ([]*core.Result, error) {
+// QueryManyContext implements ShardBackend with a single /v1/batch round
+// trip, the wire counterpart of the coordinator's batch scatter. Errors
+// map exactly like QueryContext's.
+func (s *RemoteShard) QueryManyContext(ctx context.Context, a core.Algorithm, queries []int32, k int) ([]*core.Result, error) {
 	resp, err := s.client.Batch(ctx, api.AlgorithmOf(a), queries, k, 0)
 	if err != nil {
 		return nil, s.mapError(err)
@@ -251,12 +200,6 @@ func (s *RemoteShard) Indexed() bool { return s.indexed }
 // HubLabeled reports whether the remote backend published hub-label
 // capability on its /healthz (rkserve booted with -hub-load or -hub-count).
 func (s *RemoteShard) HubLabeled() bool { return s.hubLabeled }
-
-// Describe implements ShardBackend.
-func (s *RemoteShard) Describe() string { return "remote[" + s.url + "]" }
-
-// Close implements ShardBackend.
-func (s *RemoteShard) Close() error { return nil }
 
 // Mutate fans one mutation batch to the remote backend's /v1/mutate. A
 // 501 means the backend was booted without live mutations; the
@@ -292,44 +235,27 @@ func (s *RemoteShard) ProbeGeneration(ctx context.Context) (uint64, error) {
 	return uint64(gen), nil
 }
 
-// LiveShard serves a shard from an in-process live store: the mutable
-// counterpart of LocalShard. Its candidate mask is recomputed from the
-// partitioner on every topology rebuild, so vertices added after boot
-// still land in exactly one shard's candidate class. Unlike LocalShard
-// pools, live shards do NOT share a dynamic index — each store owns its
-// index lifecycle (a rebuild swaps in a fresh one per shard).
-type LiveShard struct {
-	store *live.Store
-	desc  string
-}
-
-// NewLiveShard builds the shard'th of shards live backends over g. cfg is
-// the per-shard live configuration; its CandidateFunc is overwritten with
-// the partitioner's mask (cfg.Options.Candidates, when set, restricts it,
-// bichromatic-style, and is extended with true for post-boot vertices).
-// cfg.Options.Candidates also becomes the cluster's class
-// (core.Options.ClusterCandidates), which the store extends the same way
-// on every rebuild.
-func NewLiveShard(g *graph.Graph, cfg live.Config, part Partitioner, shards, shard int) (*LiveShard, error) {
-	if part == nil {
-		part = Modulo{}
-	}
+// liveStore builds the shard'th of shards live members over g: the
+// mutable counterpart of localPool. cfg is the member's live
+// configuration; its CandidateFunc is overwritten with the partitioner's
+// mask, recomputed on every topology rebuild so vertices added after boot
+// still land in exactly one shard's candidate class (cfg.Options.Candidates,
+// when set, restricts it, bichromatic-style, and is extended with true for
+// post-boot vertices). cfg.Options.Candidates also becomes the cluster's
+// class (core.Options.ClusterCandidates), which the store extends the same
+// way on every rebuild. Unlike local pools, live members do NOT share a
+// dynamic index — each store owns its index lifecycle (a rebuild swaps in
+// a fresh one per store).
+func liveStore(g *graph.Graph, cfg live.Config, part Partitioner, shards, shard int) (*live.Store, error) {
 	restrict := cfg.Options.Candidates
 	cfg.Options.ClusterCandidates = restrict
 	cfg.CandidateFunc = func(g2 *graph.Graph) ([]bool, error) {
 		return ShardMask(g2, part, shards, shard, growMask(restrict, g2.N()))
 	}
-	// Every shard needs a PRIVATE graph: weight patches rewrite the arc
+	// Every member needs a PRIVATE graph: weight patches rewrite the arc
 	// slabs in place under the owning store's epoch barrier, which cannot
-	// hold out another shard's readers.
-	store, err := live.NewStore(g.Clone(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &LiveShard{
-		store: store,
-		desc:  fmt.Sprintf("live[%d/%d %s]", shard, shards, part.Name()),
-	}, nil
+	// hold out another store's readers.
+	return live.NewStore(g.Clone(), cfg)
 }
 
 // growMask extends a class mask to n nodes, admitting post-boot vertices.
@@ -344,47 +270,6 @@ func growMask(mask []bool, n int) []bool {
 	}
 	return out
 }
-
-// Store exposes the shard's live store (tests and introspection).
-func (s *LiveShard) Store() *live.Store { return s.store }
-
-// Query implements ShardBackend.
-func (s *LiveShard) Query(ctx context.Context, a core.Algorithm, q int32, k int) (*core.Result, error) {
-	return s.store.QueryContext(ctx, a, q, k)
-}
-
-// QueryBatch implements ShardBackend.
-func (s *LiveShard) QueryBatch(ctx context.Context, a core.Algorithm, queries []int32, k int) ([]*core.Result, error) {
-	return s.store.QueryManyContext(ctx, a, queries, k)
-}
-
-// Mutate applies one batch to the shard's store.
-func (s *LiveShard) Mutate(ctx context.Context, ms []graph.Mutation) (live.MutateInfo, error) {
-	return s.store.Mutate(ctx, ms)
-}
-
-// Generation exposes the store's graph generation (cache keying and the
-// coordinator's merge-consistency check).
-func (s *LiveShard) Generation() uint64 { return s.store.Generation() }
-
-// Size implements ShardBackend.
-func (s *LiveShard) Size() int { return s.store.Size() }
-
-// Indexed implements ShardBackend.
-func (s *LiveShard) Indexed() bool { return s.store.Indexed() }
-
-// HubLabeled reports whether the shard serves HubLabel queries (possibly
-// through the store's Dynamic fallback while relabeling).
-func (s *LiveShard) HubLabeled() bool { return s.store.HubLabeled() }
-
-// HubLabelBytes reports the shard labeling's footprint.
-func (s *LiveShard) HubLabelBytes() int64 { return s.store.HubLabelBytes() }
-
-// Describe implements ShardBackend.
-func (s *LiveShard) Describe() string { return s.desc }
-
-// Close implements ShardBackend.
-func (s *LiveShard) Close() error { return nil }
 
 // overloadHint extracts the Retry-After of a shard 429, reporting whether
 // err is an overload shed at all.

@@ -138,7 +138,7 @@ func (c *Coordinator) batchGather(ctx context.Context, a core.Algorithm, queries
 		go func(shard int) {
 			csp := tr.BeginShard(obs.StageScatter, shard)
 			csp.SetAttr("queries", int64(len(queries)))
-			res, err := c.backends[shard].QueryBatch(ctx, a, queries, k)
+			res, err := c.backends[shard].QueryManyContext(ctx, a, queries, k)
 			if err != nil {
 				csp.SetAttr("error", 1)
 			}

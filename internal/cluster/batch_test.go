@@ -15,13 +15,13 @@ import (
 	"rkranks/internal/workload"
 )
 
-// QueryBatch lets the failure injection cover batch RPCs too (embedding
+// QueryManyContext lets the failure injection cover batch RPCs too (embedding
 // alone would bypass fail()).
-func (f *flakyShard) QueryBatch(ctx context.Context, a core.Algorithm, queries []int32, k int) ([]*core.Result, error) {
+func (f *flakyShard) QueryManyContext(ctx context.Context, a core.Algorithm, queries []int32, k int) ([]*core.Result, error) {
 	if f.fail() {
 		return nil, errors.New("injected shard failure")
 	}
-	return f.ShardBackend.QueryBatch(ctx, a, queries, k)
+	return f.ShardBackend.QueryManyContext(ctx, a, queries, k)
 }
 
 // TestBatchScatterEquivalence is the acceptance-criteria matrix for the
@@ -48,11 +48,11 @@ func TestBatchScatterEquivalence(t *testing.T) {
 			}
 			queries := workload.Random(g, 8, 19)
 			for _, shards := range []int{1, 2, 4, 8} {
-				batched, err := NewLocal(g, core.Options{}, Modulo{}, shards, 2, sharedIndex(t, g, maxK), Config{})
+				batched, err := NewLocal(g, core.Options{}, Modulo{}, shards, 1, 2, sharedIndex(t, g, maxK), Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				perQuery, err := NewLocal(g, core.Options{}, Modulo{}, shards, 2, sharedIndex(t, g, maxK), Config{PerQueryScatter: true})
+				perQuery, err := NewLocal(g, core.Options{}, Modulo{}, shards, 1, 2, sharedIndex(t, g, maxK), Config{PerQueryScatter: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -120,7 +120,7 @@ func TestBatchScatterEvolvingSharedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewLocal(g, core.Options{}, Modulo{}, 4, 2, sharedIndex(t, g, maxK), Config{})
+	coord, err := NewLocal(g, core.Options{}, Modulo{}, 4, 1, 2, sharedIndex(t, g, maxK), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestBatchOneShardTripped(t *testing.T) {
 func TestBatchRPCCounters(t *testing.T) {
 	g := tg.Path(40)
 	const shards, k = 2, 6
-	coord, err := NewLocal(g, core.Options{}, Modulo{}, shards, 1, nil, Config{})
+	coord, err := NewLocal(g, core.Options{}, Modulo{}, shards, 1, 1, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestRemoteBatchScatter(t *testing.T) {
 func TestCoordinatorGeneration(t *testing.T) {
 	g := tg.Path(20)
 	ix := sharedIndex(t, g, 8)
-	coord, err := NewLocal(g, core.Options{}, Modulo{}, 2, 1, ix, Config{})
+	coord, err := NewLocal(g, core.Options{}, Modulo{}, 2, 1, 1, ix, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,15 @@
 // like the partitioned hub labelings of ReHub partition label work
 // rather than topology.
 //
+// # Shard backends
+//
+// A shard backend (ShardBackend) has the method set of server.Backend.
+// A masked *core.Pool or *live.Store serves a shard in process (NewLocal,
+// NewLocalLive), a RemoteShard serves one over HTTP, and a ReplicaGroup
+// puts several of any of these behind one shard. Each of them, the
+// coordinator included, can also stand behind server.New or
+// cache.NewBackend as it is.
+//
 // # What each shard does
 //
 // Every shard call carries the client's k as the merged k
@@ -63,7 +72,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rkranks/internal/core"
@@ -188,7 +196,6 @@ type Coordinator struct {
 	// rkranks_cluster_shard_calls_total so every shard's series shows
 	// from the first scrape.
 	shardCalls []*obs.Counter
-	closed     atomic.Bool
 
 	// mutateMu serializes cluster-wide mutation batches so shard
 	// generations advance in lockstep: batch n lands everywhere before
@@ -197,9 +204,9 @@ type Coordinator struct {
 }
 
 // New builds a coordinator over the given shard backends. The backends
-// must partition one graph's candidate class between them (NewLocalShard
-// and rkserve -shard both derive masks from the same deterministic
-// partitioners, so agreeing on (partitioner, P) is enough).
+// must partition one graph's candidate class between them (NewLocal,
+// NewLocalLive and rkserve -shard all derive masks from the same
+// deterministic partitioners, so agreeing on (partitioner, P) is enough).
 func New(backends []ShardBackend, cfg Config) (*Coordinator, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("cluster: at least one shard backend is required")
@@ -221,48 +228,65 @@ func New(backends []ShardBackend, cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// NewLocal builds an in-process cluster: one masked engine pool per shard
-// over g, all sharing ix when non-nil (exactly like a single NewPoolWithIndex
-// pool, just partitioned). poolSize sizes each shard's pool (<= 0 derives
-// a default that splits the machine across shards).
-func NewLocal(g *graph.Graph, opts core.Options, part Partitioner, shards, poolSize int, ix ridx.Index, cfg Config) (*Coordinator, error) {
+// NewLocal builds an in-process cluster: shards groups of replicas
+// masked engine pools each over g, all sharing ix when non-nil (exactly
+// like a single NewPoolWithIndex pool, just partitioned). replicas <= 1
+// puts one pool per shard in front of the coordinator, without a replica
+// group. poolSize sizes each pool (<= 0 derives the core default).
+func NewLocal(g *graph.Graph, opts core.Options, part Partitioner, shards, replicas, poolSize int, ix ridx.Index, cfg Config) (*Coordinator, error) {
 	if part == nil {
 		part = Modulo{}
 	}
-	backends := make([]ShardBackend, shards)
-	for i := 0; i < shards; i++ {
-		ls, err := NewLocalShard(g, opts, part, shards, i, poolSize, ix)
-		if err != nil {
-			return nil, err
-		}
-		backends[i] = ls
-	}
-	return New(backends, cfg)
+	return newLocal(shards, replicas, cfg, func(shard int) (ShardBackend, error) {
+		return localPool(g, opts, part, shards, shard, poolSize, ix)
+	})
 }
 
-// NewLocalLive builds an in-process MUTABLE cluster: one live store per
-// vertex shard over g, each owning its masked candidate class, pool, and
-// (when indexMaxK > 0) its own empty index that learns
-// from the shard's traffic. base carries the shared live configuration;
-// its Index and CandidateFunc fields are overwritten per shard (live
-// shards cannot share one index — each store swaps in a fresh one on
-// topology rebuilds). The coordinator's Mutate fans batches to every
-// shard.
-func NewLocalLive(g *graph.Graph, base live.Config, indexMaxK int, part Partitioner, shards int, cfg Config) (*Coordinator, error) {
+// NewLocalLive builds an in-process MUTABLE cluster: shards groups of
+// replicas live stores each over g. Every store owns a private graph
+// copy, its masked candidate class, its pool, and (when indexMaxK > 0)
+// its own empty index that learns from its traffic. base carries the
+// shared live configuration; its Index and CandidateFunc fields are
+// overwritten per store (live stores cannot share one index — each swaps
+// in a fresh one on topology rebuilds). replicas <= 1 means no replica
+// groups. The coordinator's Mutate fans batches to every shard, and each
+// group to every replica, in lockstep.
+func NewLocalLive(g *graph.Graph, base live.Config, indexMaxK int, part Partitioner, shards, replicas int, cfg Config) (*Coordinator, error) {
 	if part == nil {
 		part = Modulo{}
 	}
-	backends := make([]ShardBackend, shards)
-	for i := 0; i < shards; i++ {
-		shardCfg := base
+	return newLocal(shards, replicas, cfg, func(shard int) (ShardBackend, error) {
+		memberCfg := base
 		if indexMaxK > 0 {
-			shardCfg.Index = ridx.NewSharded(g.N(), indexMaxK)
+			memberCfg.Index = ridx.NewSharded(g.N(), indexMaxK)
 		}
-		ls, err := NewLiveShard(g, shardCfg, part, shards, i)
+		return liveStore(g, memberCfg, part, shards, shard)
+	})
+}
+
+// newLocal builds replicas members per shard with member and puts each
+// shard's members behind a ReplicaGroup, or, with replicas <= 1, its one
+// member straight behind the coordinator.
+func newLocal(shards, replicas int, cfg Config, member func(shard int) (ShardBackend, error)) (*Coordinator, error) {
+	backends := make([]ShardBackend, shards)
+	for i := range backends {
+		members := make([]ShardBackend, max(replicas, 1))
+		for r := range members {
+			b, err := member(i)
+			if err != nil {
+				return nil, err
+			}
+			members[r] = b
+		}
+		if len(members) == 1 {
+			backends[i] = members[0]
+			continue
+		}
+		rg, err := NewReplicaGroup(members, cfg)
 		if err != nil {
 			return nil, err
 		}
-		backends[i] = ls
+		backends[i] = rg
 	}
 	return New(backends, cfg)
 }
@@ -372,10 +396,9 @@ type Snapshot struct {
 	Shards []ShardSnapshot
 }
 
-// ShardSnapshot is one shard's description, health and call count.
+// ShardSnapshot is one shard's health and call count.
 type ShardSnapshot struct {
 	ID        int
-	Backend   string
 	Available bool
 	Queries   int64 // calls, as rkranks_cluster_shard_calls_total{shard}
 }
@@ -391,10 +414,9 @@ func (c *Coordinator) ClusterSnapshot() any {
 		BatchQueries:       c.om.ClusterBatchQueries.Value(),
 		Shards:             make([]ShardSnapshot, len(c.backends)),
 	}
-	for i, b := range c.backends {
+	for i := range c.backends {
 		snap.Shards[i] = ShardSnapshot{
 			ID:        i,
-			Backend:   b.Describe(),
 			Available: c.health[i].healthy(c.cfg.failureThreshold()),
 			Queries:   c.shardCalls[i].Value(),
 		}
@@ -402,19 +424,9 @@ func (c *Coordinator) ClusterSnapshot() any {
 	return snap
 }
 
-// Close releases every backend.
-func (c *Coordinator) Close() error {
-	if !c.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	var first error
-	for _, b := range c.backends {
-		if err := b.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+// Close returns nil: a coordinator holds no resources. It stays because
+// bench/e2e and callers of rkranks.Cluster call it.
+func (c *Coordinator) Close() error { return nil }
 
 // Query is QueryContext with a background context.
 func (c *Coordinator) Query(a core.Algorithm, q int32, k int) (*core.Result, error) {
@@ -611,7 +623,7 @@ func (c *Coordinator) gather(ctx context.Context, a core.Algorithm, q int32, k i
 		go func(idx, shard int) {
 			defer wg.Done()
 			csp := tr.BeginShard(obs.StageScatter, shard)
-			res, err := c.backends[shard].Query(ctx, a, q, k)
+			res, err := c.backends[shard].QueryContext(ctx, a, q, k)
 			if err == nil {
 				csp.SetAttr("entries", int64(len(res.Entries)))
 			} else {
@@ -714,8 +726,8 @@ func (c *Coordinator) QueryManyContext(ctx context.Context, a core.Algorithm, qu
 	return c.batchScatter(ctx, a, queries, k)
 }
 
-// shardMutator is the per-shard mutation capability (LiveShard in
-// process, RemoteShard over /v1/mutate).
+// shardMutator is the per-shard mutation capability (a live.Store in
+// process, RemoteShard over /v1/mutate, a ReplicaGroup of either).
 type shardMutator interface {
 	Mutate(ctx context.Context, ms []graph.Mutation) (live.MutateInfo, error)
 }
@@ -724,10 +736,11 @@ type shardMutator interface {
 // batch is fanned to EVERY shard backend — each holds the whole graph, so
 // each applies the whole batch — and the coordinator serializes batches
 // so shard generations advance in lockstep. A shard that fails its first
-// attempt is retried once; surviving failures return a MutationError and
-// leave the cluster generation-skewed, which the query path detects and
-// refuses to merge across (see GenerationSkewError) — correctness is
-// preserved, availability degrades until the shards converge.
+// attempt is retried once (guardedMutate); surviving failures return a
+// MutationError and leave the cluster generation-skewed, which the query
+// path detects and refuses to merge across (see GenerationSkewError) —
+// correctness is preserved, availability degrades until the shards
+// converge.
 func (c *Coordinator) Mutate(ctx context.Context, ms []graph.Mutation) (live.MutateInfo, error) {
 	muts := make([]shardMutator, len(c.backends))
 	for i, b := range c.backends {
@@ -747,29 +760,7 @@ func (c *Coordinator) Mutate(ctx context.Context, ms []graph.Mutation) (live.Mut
 		wg.Add(1)
 		go func(i int, m shardMutator) {
 			defer wg.Done()
-			preGen, preKnown := currentGeneration(ctx, c.backends[i])
-			infos[i], errs[i] = m.Mutate(ctx, ms)
-			if errs[i] == nil || fatalQueryError(errs[i]) || immutableRemote(errs[i]) || isImmutableShard(errs[i]) {
-				return
-			}
-			// One retry absorbs transient shard hiccups; validation errors
-			// and 501s would fail identically again. The retry is guarded:
-			// a non-fatal error does not prove the batch was not applied
-			// (a remote transport can fail after the server committed it),
-			// and re-sending an applied batch would double-apply it on
-			// this shard alone — so a generation that provably advanced
-			// counts as an apply instead.
-			if gen, ok := currentGeneration(ctx, c.backends[i]); preKnown && ok && gen > preGen {
-				infos[i], errs[i] = live.MutateInfo{Applied: len(ms), Generation: gen}, nil
-				return
-			}
-			infos[i], errs[i] = m.Mutate(ctx, ms)
-			if errs[i] == nil || fatalQueryError(errs[i]) || immutableRemote(errs[i]) || isImmutableShard(errs[i]) {
-				return
-			}
-			if gen, ok := currentGeneration(ctx, c.backends[i]); preKnown && ok && gen > preGen {
-				infos[i], errs[i] = live.MutateInfo{Applied: len(ms), Generation: gen}, nil
-			}
+			infos[i], errs[i] = guardedMutate(ctx, m, ms)
 		}(i, m)
 	}
 	wg.Wait()
@@ -801,9 +792,9 @@ func (c *Coordinator) Mutate(ctx context.Context, ms []graph.Mutation) (live.Mut
 }
 
 var (
-	_ ShardBackend = (*LocalShard)(nil)
+	_ ShardBackend = (*core.Pool)(nil)
+	_ ShardBackend = (*live.Store)(nil)
 	_ ShardBackend = (*RemoteShard)(nil)
-	_ ShardBackend = (*LiveShard)(nil)
-	_ shardMutator = (*LiveShard)(nil)
+	_ shardMutator = (*live.Store)(nil)
 	_ shardMutator = (*RemoteShard)(nil)
 )

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -91,7 +90,7 @@ func TestClusterEquivalence(t *testing.T) {
 			for _, shards := range []int{1, 2, 4, 8} {
 				for _, part := range []Partitioner{Modulo{}, DegreeBalanced{}} {
 					clusterIx := sharedIndex(t, g, maxK)
-					coord, err := NewLocal(g, core.Options{}, part, shards, 2, clusterIx, Config{})
+					coord, err := NewLocal(g, core.Options{}, part, shards, 1, 2, clusterIx, Config{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -142,7 +141,7 @@ func TestClusterEquivalenceBichromatic(t *testing.T) {
 	}
 	queries := workload.RandomFrom(queryPool, 5, 23)
 	for _, shards := range []int{2, 4, 8} {
-		coord, err := NewLocal(road, opts, DegreeBalanced{}, shards, 2, nil, Config{})
+		coord, err := NewLocal(road, opts, DegreeBalanced{}, shards, 1, 2, nil, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +178,7 @@ func TestClusterEquivalenceEvolvingIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewLocal(g, core.Options{}, Modulo{}, 4, 2, sharedIndex(t, g, maxK), Config{})
+	coord, err := NewLocal(g, core.Options{}, Modulo{}, 4, 1, 2, sharedIndex(t, g, maxK), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +212,7 @@ func TestClusterEquivalenceEvolvingIndex(t *testing.T) {
 // stay race-free and each byte-identical to single-node.
 func TestClusterConcurrentQueries(t *testing.T) {
 	g := gen.DBLPLike(gen.DBLPLikeParams{Nodes: 250, AttachPerNode: 4, ExtraCollabFactor: 0.5, Seed: 13})
-	coord, err := NewLocal(g, core.Options{}, DegreeBalanced{}, 4, 2, sharedIndex(t, g, 16), Config{})
+	coord, err := NewLocal(g, core.Options{}, DegreeBalanced{}, 4, 1, 2, sharedIndex(t, g, 16), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +243,11 @@ func TestClusterConcurrentQueries(t *testing.T) {
 func TestRankFloorPruningReducesTransfer(t *testing.T) {
 	g := gen.DBLPLike(gen.DBLPLikeParams{Nodes: 400, AttachPerNode: 5, ExtraCollabFactor: 0.5, Seed: 29})
 	const shards, k = 4, 20
-	pruned, err := NewLocal(g, core.Options{}, DegreeBalanced{}, shards, 1, nil, Config{})
+	pruned, err := NewLocal(g, core.Options{}, DegreeBalanced{}, shards, 1, 1, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := NewLocal(g, core.Options{}, DegreeBalanced{}, shards, 1, nil, Config{NaiveGather: true})
+	naive, err := NewLocal(g, core.Options{}, DegreeBalanced{}, shards, 1, 1, nil, Config{NaiveGather: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,18 +307,18 @@ type flakyShard struct {
 	fail func() bool
 }
 
-func (f *flakyShard) Query(ctx context.Context, a core.Algorithm, q int32, k int) (*core.Result, error) {
+func (f *flakyShard) QueryContext(ctx context.Context, a core.Algorithm, q int32, k int) (*core.Result, error) {
 	if f.fail() {
 		return nil, errors.New("injected shard failure")
 	}
-	return f.ShardBackend.Query(ctx, a, q, k)
+	return f.ShardBackend.QueryContext(ctx, a, q, k)
 }
 
 func localShards(t *testing.T, g *graph.Graph, shards int) []ShardBackend {
 	t.Helper()
 	backends := make([]ShardBackend, shards)
 	for i := range backends {
-		ls, err := NewLocalShard(g, core.Options{}, Modulo{}, shards, i, 1, nil)
+		ls, err := localPool(g, core.Options{}, Modulo{}, shards, i, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,7 +412,7 @@ func TestHealthTrackingTripsAndRecovers(t *testing.T) {
 // from the instruments, per-shard calls and health.
 func TestSnapshotShape(t *testing.T) {
 	g := tg.Path(25)
-	coord, err := NewLocal(g, core.Options{}, Modulo{}, 2, 1, nil, Config{})
+	coord, err := NewLocal(g, core.Options{}, Modulo{}, 2, 1, 1, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,16 +439,13 @@ func TestSnapshotShape(t *testing.T) {
 	if snap.EntriesTransferred == 0 {
 		t.Errorf("snapshot missing data: %+v", snap)
 	}
-	if fmt.Sprint(snap.Shards[0].Backend) == "" {
-		t.Error("shard description empty")
-	}
 }
 
 // TestValidationFailsFast: malformed requests are rejected before any
 // shard RPC, with the same typed errors a pool reports.
 func TestValidationFailsFast(t *testing.T) {
 	g := tg.Path(10)
-	coord, err := NewLocal(g, core.Options{}, Modulo{}, 2, 1, nil, Config{})
+	coord, err := NewLocal(g, core.Options{}, Modulo{}, 2, 1, 1, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,5 +460,86 @@ func TestValidationFailsFast(t *testing.T) {
 	}
 	if _, err := coord.Query(core.Indexed, 0, 3); !errors.Is(err, core.ErrIndexRequired) {
 		t.Errorf("indexed on index-free cluster error = %v", err)
+	}
+}
+
+// TestCapabilityAggregation: a coordinator reports its smallest member's
+// Size, Indexed and HubLabeled only when every member has them, and the
+// sum of its members' label bytes; a replica group reports the sum of its
+// members' Sizes and the largest member's label bytes (replicas hold
+// copies of one labeling).
+func TestCapabilityAggregation(t *testing.T) {
+	g := tg.Path(30)
+	labels := func(roots int) *hub.Labels {
+		t.Helper()
+		l, err := hub.BuildLabels(g, hub.Order(g, hub.DegreeFirst, roots, hub.Options{}), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	small, big := labels(3), labels(12)
+	if small.Bytes() >= big.Bytes() {
+		t.Fatalf("labelings of %d and %d bytes cannot tell a sum from a maximum", small.Bytes(), big.Bytes())
+	}
+	ix := sharedIndex(t, g, 8)
+	indexedPool := func(opts core.Options, size int) *core.Pool {
+		t.Helper()
+		p, err := core.NewPoolWithIndex(g, opts, size, ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	smallLabeled := core.NewPool(g, core.Options{Labels: small}, 1)
+	bigLabeledIndexed := indexedPool(core.Options{Labels: big}, 3)
+	plainIndexed := indexedPool(core.Options{}, 2)
+
+	coord := func(members ...ShardBackend) ShardBackend {
+		t.Helper()
+		c, err := New(members, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	group := func(members ...ShardBackend) ShardBackend {
+		t.Helper()
+		rg, err := NewReplicaGroup(members, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rg
+	}
+	type labeled interface {
+		HubLabeled() bool
+		HubLabelBytes() int64
+	}
+	for _, tc := range []struct {
+		name            string
+		b               ShardBackend
+		size            int
+		indexed, hubbed bool
+		bytes           int64
+	}{
+		{"coordinator, both labeled", coord(smallLabeled, bigLabeledIndexed), 1, false, true, small.Bytes() + big.Bytes()},
+		{"coordinator, both indexed", coord(bigLabeledIndexed, plainIndexed), 2, true, false, big.Bytes()},
+		{"group, both labeled", group(smallLabeled, bigLabeledIndexed), 4, false, true, big.Bytes()},
+		{"group, both indexed", group(bigLabeledIndexed, plainIndexed), 5, true, false, big.Bytes()},
+		{"coordinator over a group", coord(group(smallLabeled, bigLabeledIndexed), bigLabeledIndexed), 3, false, true, 2 * big.Bytes()},
+	} {
+		l := tc.b.(labeled)
+		if got := tc.b.Size(); got != tc.size {
+			t.Errorf("%s: Size() = %d, want %d", tc.name, got, tc.size)
+		}
+		if got := tc.b.Indexed(); got != tc.indexed {
+			t.Errorf("%s: Indexed() = %v, want %v", tc.name, got, tc.indexed)
+		}
+		if got := l.HubLabeled(); got != tc.hubbed {
+			t.Errorf("%s: HubLabeled() = %v, want %v", tc.name, got, tc.hubbed)
+		}
+		if got := l.HubLabelBytes(); got != tc.bytes {
+			t.Errorf("%s: HubLabelBytes() = %d, want %d", tc.name, got, tc.bytes)
+		}
 	}
 }

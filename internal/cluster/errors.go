@@ -86,7 +86,7 @@ func (e *GenerationSkewError) HTTPStatus() (int, string) {
 }
 
 // ImmutableShardError reports a mutation fanned to a shard backend that
-// cannot apply it (a LocalShard or a remote rkserve booted without -live).
+// cannot apply it (a core.Pool or a remote rkserve booted without -live).
 type ImmutableShardError struct {
 	Shard int
 }

@@ -44,7 +44,7 @@ func TestLocalLiveEquivalence(t *testing.T) {
 	g := churnGraph(40, 3)
 	single := core.NewPool(g, core.Options{}, 2)
 	for _, shards := range []int{1, 2, 4} {
-		coord, err := NewLocalLive(g, live.Config{PoolSize: 1}, 0, Modulo{}, shards, Config{})
+		coord, err := NewLocalLive(g, live.Config{PoolSize: 1}, 0, Modulo{}, shards, 1, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func TestLocalLiveEquivalence(t *testing.T) {
 func TestLiveClusterLockstep(t *testing.T) {
 	g := churnGraph(30, 5)
 	om := obs.NewMetrics(nil)
-	coord, err := NewLocalLive(g, live.Config{PoolSize: 1, Metrics: om}, 0, Modulo{}, 4, Config{})
+	coord, err := NewLocalLive(g, live.Config{PoolSize: 1, Metrics: om}, 0, Modulo{}, 4, 1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestLiveClusterLockstep(t *testing.T) {
 func TestLiveClusterChurnNeverMixesGenerations(t *testing.T) {
 	const n, k = 36, 4
 	g := churnGraph(n, 11)
-	coord, err := NewLocalLive(g, live.Config{PoolSize: 1}, 0, Modulo{}, 4, Config{})
+	coord, err := NewLocalLive(g, live.Config{PoolSize: 1}, 0, Modulo{}, 4, 1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

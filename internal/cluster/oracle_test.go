@@ -91,7 +91,7 @@ func TestShardedOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				coord, err := NewLocal(g, opts, part, shards, 1, ix, Config{})
+				coord, err := NewLocal(g, opts, part, shards, 1, 1, ix, Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -145,14 +145,14 @@ func (r *mergedKRecorder) record(ctx context.Context) {
 	r.mu.Unlock()
 }
 
-func (r *mergedKRecorder) Query(ctx context.Context, a core.Algorithm, q int32, k int) (*core.Result, error) {
+func (r *mergedKRecorder) QueryContext(ctx context.Context, a core.Algorithm, q int32, k int) (*core.Result, error) {
 	r.record(ctx)
-	return r.ShardBackend.Query(ctx, a, q, k)
+	return r.ShardBackend.QueryContext(ctx, a, q, k)
 }
 
-func (r *mergedKRecorder) QueryBatch(ctx context.Context, a core.Algorithm, queries []int32, k int) ([]*core.Result, error) {
+func (r *mergedKRecorder) QueryManyContext(ctx context.Context, a core.Algorithm, queries []int32, k int) ([]*core.Result, error) {
 	r.record(ctx)
-	return r.ShardBackend.QueryBatch(ctx, a, queries, k)
+	return r.ShardBackend.QueryManyContext(ctx, a, queries, k)
 }
 
 // TestShardCallsCarryMergedK: a query and a batch each make exactly one

@@ -12,7 +12,6 @@ import (
 	"rkranks/internal/graph"
 	"rkranks/internal/live"
 	"rkranks/internal/obs"
-	"rkranks/internal/ridx"
 )
 
 // maxMutationLog bounds the group's replayable mutation-batch log. A
@@ -34,7 +33,8 @@ type loggedBatch struct {
 }
 
 // ReplicaGroup is N backends serving the SAME shard mask, presented to
-// the coordinator as one ShardBackend. Queries are load-balanced
+// the coordinator as one ShardBackend (or to server.New and
+// cache.NewBackend as one backend). Queries are load-balanced
 // round-robin across the replicas in rotation; a query that fails on
 // one replica retries on a sibling (counted in
 // rkranks_replica_failovers_total) before the group reports failure, so
@@ -70,7 +70,6 @@ type ReplicaGroup struct {
 	cfg      Config
 	health   []shardHealth
 	om       *obs.Metrics
-	desc     string
 	cursor   atomic.Uint64
 
 	// catchMu admits one catch-up at a time; queries that cannot claim
@@ -101,25 +100,13 @@ func NewReplicaGroup(replicas []ShardBackend, cfg Config) (*ReplicaGroup, error)
 	if om == nil {
 		om = obs.NewMetrics(nil)
 	}
-	desc := "group["
-	for i, b := range replicas {
-		if i > 0 {
-			desc += " "
-		}
-		desc += b.Describe()
-	}
-	desc += "]"
 	return &ReplicaGroup{
 		replicas: replicas,
 		cfg:      cfg,
 		health:   make([]shardHealth, len(replicas)),
 		om:       om,
-		desc:     desc,
 	}, nil
 }
-
-// Replicas returns the group's backends (tests and introspection).
-func (g *ReplicaGroup) Replicas() []ShardBackend { return g.replicas }
 
 // backendGeneration probes a backend's graph generation (0 when the
 // backend has none — immutable groups never leave generation 0).
@@ -315,16 +302,41 @@ type generationProber interface {
 // ok=false means the backend has no generation concept or the probe
 // failed, so an applied-but-errored batch cannot be detected and the
 // caller falls back to the plain retry.
-func currentGeneration(ctx context.Context, b ShardBackend) (uint64, bool) {
-	if gp, ok := b.(interface{ Generation() uint64 }); ok {
+func currentGeneration(ctx context.Context, m shardMutator) (uint64, bool) {
+	if gp, ok := m.(interface{ Generation() uint64 }); ok {
 		return gp.Generation(), true
 	}
-	if gp, ok := b.(generationProber); ok {
+	if gp, ok := m.(generationProber); ok {
 		if gen, err := gp.ProbeGeneration(ctx); err == nil {
 			return gen, true
 		}
 	}
 	return 0, false
+}
+
+// guardedMutate sends one batch to m and retries it once after a
+// transient error. Request faults, context expiry, a remote 501 and an
+// ImmutableShardError would fail identically again, so they return at
+// once. The retry is guarded: a transient error does not prove the batch
+// was not applied (a remote transport can fail after the server
+// committed it), and re-sending an applied batch would double-apply it
+// on m alone, advancing it a generation past its siblings with no batch
+// for the hole. So after each failed send a generation that provably
+// advanced since the first send counts as an apply instead.
+func guardedMutate(ctx context.Context, m shardMutator, ms []graph.Mutation) (live.MutateInfo, error) {
+	preGen, preKnown := currentGeneration(ctx, m)
+	var info live.MutateInfo
+	var err error
+	for attempt := 0; attempt < 2; attempt++ {
+		info, err = m.Mutate(ctx, ms)
+		if err == nil || fatalQueryError(err) || immutableRemote(err) || isImmutableShard(err) {
+			return info, err
+		}
+		if gen, ok := currentGeneration(ctx, m); preKnown && ok && gen > preGen {
+			return live.MutateInfo{Applied: len(ms), Generation: gen}, nil
+		}
+	}
+	return info, err
 }
 
 // batchFor finds the logged batch that advanced the group to gen.
@@ -360,19 +372,19 @@ func (g *ReplicaGroup) logBatch(gen uint64, ms []graph.Mutation) {
 	g.mulog = append(g.mulog, loggedBatch{gen: gen, ms: append([]graph.Mutation(nil), ms...)})
 }
 
-// Query implements ShardBackend with replica failover.
-func (g *ReplicaGroup) Query(ctx context.Context, a core.Algorithm, q int32, k int) (*core.Result, error) {
+// QueryContext implements ShardBackend with replica failover.
+func (g *ReplicaGroup) QueryContext(ctx context.Context, a core.Algorithm, q int32, k int) (*core.Result, error) {
 	return replicaCall(ctx, g, func(b ShardBackend) (*core.Result, error) {
-		return b.Query(ctx, a, q, k)
+		return b.QueryContext(ctx, a, q, k)
 	})
 }
 
-// QueryBatch implements ShardBackend with replica failover. The batch is
-// one call, so it fails over as a whole and every answer in it comes
-// from one replica.
-func (g *ReplicaGroup) QueryBatch(ctx context.Context, a core.Algorithm, queries []int32, k int) ([]*core.Result, error) {
+// QueryManyContext implements ShardBackend with replica failover. The
+// batch is one call, so it fails over as a whole and every answer in it
+// comes from one replica.
+func (g *ReplicaGroup) QueryManyContext(ctx context.Context, a core.Algorithm, queries []int32, k int) ([]*core.Result, error) {
 	return replicaCall(ctx, g, func(b ShardBackend) ([]*core.Result, error) {
-		return b.QueryBatch(ctx, a, queries, k)
+		return b.QueryManyContext(ctx, a, queries, k)
 	})
 }
 
@@ -426,29 +438,7 @@ func (g *ReplicaGroup) Mutate(ctx context.Context, ms []graph.Mutation) (live.Mu
 		wg.Add(1)
 		go func(i int, m shardMutator) {
 			defer wg.Done()
-			preGen, preKnown := currentGeneration(ctx, g.replicas[i])
-			infos[i], errs[i] = m.Mutate(ctx, ms)
-			if errs[i] == nil || fatalQueryError(errs[i]) || immutableRemote(errs[i]) {
-				return
-			}
-			// A non-fatal error does NOT prove the batch was not applied:
-			// a remote transport can fail after the server committed it.
-			// Blindly re-sending would double-apply the batch and advance
-			// this replica two generations ahead of its siblings, with no
-			// catch-up batch for the hole — so retry only when the
-			// replica's generation provably did not move, and count an
-			// advanced generation as an apply.
-			if gen, ok := currentGeneration(ctx, g.replicas[i]); preKnown && ok && gen > preGen {
-				infos[i], errs[i] = live.MutateInfo{Applied: len(ms), Generation: gen}, nil
-				return
-			}
-			infos[i], errs[i] = m.Mutate(ctx, ms)
-			if errs[i] == nil || fatalQueryError(errs[i]) || immutableRemote(errs[i]) {
-				return
-			}
-			if gen, ok := currentGeneration(ctx, g.replicas[i]); preKnown && ok && gen > preGen {
-				infos[i], errs[i] = live.MutateInfo{Applied: len(ms), Generation: gen}, nil
-			}
+			infos[i], errs[i] = guardedMutate(ctx, m, ms)
 		}(i, m)
 	}
 	wg.Wait()
@@ -528,85 +518,6 @@ func (g *ReplicaGroup) HubLabelBytes() int64 {
 		}
 	}
 	return max
-}
-
-// Describe implements ShardBackend.
-func (g *ReplicaGroup) Describe() string { return g.desc }
-
-// Close implements ShardBackend.
-func (g *ReplicaGroup) Close() error {
-	var first error
-	for _, b := range g.replicas {
-		if err := b.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// NewLocalReplicated builds an in-process replicated cluster: shards
-// groups of replicas immutable engine pools each, all sharing ix when
-// non-nil (one set of dictionaries, exactly like NewLocal). replicas
-// <= 1 degenerates to NewLocal's ungrouped backends.
-func NewLocalReplicated(g *graph.Graph, opts core.Options, part Partitioner, shards, replicas, poolSize int, ix ridx.Index, cfg Config) (*Coordinator, error) {
-	if replicas <= 1 {
-		return NewLocal(g, opts, part, shards, poolSize, ix, cfg)
-	}
-	if part == nil {
-		part = Modulo{}
-	}
-	backends := make([]ShardBackend, shards)
-	for i := 0; i < shards; i++ {
-		members := make([]ShardBackend, replicas)
-		for r := 0; r < replicas; r++ {
-			ls, err := NewLocalShard(g, opts, part, shards, i, poolSize, ix)
-			if err != nil {
-				return nil, err
-			}
-			members[r] = ls
-		}
-		rg, err := NewReplicaGroup(members, cfg)
-		if err != nil {
-			return nil, err
-		}
-		backends[i] = rg
-	}
-	return New(backends, cfg)
-}
-
-// NewLocalLiveReplicated builds an in-process replicated MUTABLE
-// cluster: shards groups of replicas live stores each. Every replica
-// owns a private graph copy and (when indexMaxK > 0) its own dynamic
-// index, exactly like NewLocalLive's shards; the group fans mutation
-// batches to all of them in lockstep.
-func NewLocalLiveReplicated(g *graph.Graph, base live.Config, indexMaxK int, part Partitioner, shards, replicas int, cfg Config) (*Coordinator, error) {
-	if replicas <= 1 {
-		return NewLocalLive(g, base, indexMaxK, part, shards, cfg)
-	}
-	if part == nil {
-		part = Modulo{}
-	}
-	backends := make([]ShardBackend, shards)
-	for i := 0; i < shards; i++ {
-		members := make([]ShardBackend, replicas)
-		for r := 0; r < replicas; r++ {
-			shardCfg := base
-			if indexMaxK > 0 {
-				shardCfg.Index = ridx.NewSharded(g.N(), indexMaxK)
-			}
-			ls, err := NewLiveShard(g, shardCfg, part, shards, i)
-			if err != nil {
-				return nil, err
-			}
-			members[r] = ls
-		}
-		rg, err := NewReplicaGroup(members, cfg)
-		if err != nil {
-			return nil, err
-		}
-		backends[i] = rg
-	}
-	return New(backends, cfg)
 }
 
 var (

@@ -1,14 +1,22 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"rkranks/internal/api"
+	"rkranks/internal/cache"
 	"rkranks/internal/core"
 	"rkranks/internal/graph"
 	"rkranks/internal/live"
@@ -26,18 +34,18 @@ type flakyReplica struct {
 	failMutate atomic.Bool
 }
 
-func (f *flakyReplica) Query(ctx context.Context, a core.Algorithm, q int32, k int) (*core.Result, error) {
+func (f *flakyReplica) QueryContext(ctx context.Context, a core.Algorithm, q int32, k int) (*core.Result, error) {
 	if f.failQuery.Load() {
 		return nil, errors.New("injected replica failure")
 	}
-	return f.ShardBackend.Query(ctx, a, q, k)
+	return f.ShardBackend.QueryContext(ctx, a, q, k)
 }
 
-func (f *flakyReplica) QueryBatch(ctx context.Context, a core.Algorithm, queries []int32, k int) ([]*core.Result, error) {
+func (f *flakyReplica) QueryManyContext(ctx context.Context, a core.Algorithm, queries []int32, k int) ([]*core.Result, error) {
 	if f.failQuery.Load() {
 		return nil, errors.New("injected replica failure")
 	}
-	return f.ShardBackend.QueryBatch(ctx, a, queries, k)
+	return f.ShardBackend.QueryManyContext(ctx, a, queries, k)
 }
 
 func (f *flakyReplica) Mutate(ctx context.Context, ms []graph.Mutation) (live.MutateInfo, error) {
@@ -68,9 +76,9 @@ func replicatedCoordinator(t *testing.T, g *graph.Graph, shards int, liveMode bo
 			var b ShardBackend
 			var err error
 			if liveMode {
-				b, err = NewLiveShard(g, live.Config{PoolSize: 1}, Modulo{}, shards, i)
+				b, err = liveStore(g, live.Config{PoolSize: 1}, Modulo{}, shards, i)
 			} else {
-				b, err = NewLocalShard(g, core.Options{}, Modulo{}, shards, i, 1, nil)
+				b, err = localPool(g, core.Options{}, Modulo{}, shards, i, 1, nil)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -187,11 +195,11 @@ func TestReplicaGroupServingGeneration(t *testing.T) {
 	cfg := Config{Metrics: om}
 	ctx := context.Background()
 
-	healthy, err := NewLiveShard(g, live.Config{PoolSize: 1}, Modulo{}, 1, 0)
+	healthy, err := liveStore(g, live.Config{PoolSize: 1}, Modulo{}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lagBase, err := NewLiveShard(g, live.Config{PoolSize: 1}, Modulo{}, 1, 0)
+	lagBase, err := liveStore(g, live.Config{PoolSize: 1}, Modulo{}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +236,7 @@ func TestReplicaGroupServingGeneration(t *testing.T) {
 	// cache would key it under — a stale replica serving old answers
 	// under the new key is exactly the poisoning this guards against.
 	for q := int32(0); q < 6; q++ {
-		res, err := rg.Query(ctx, core.Dynamic, q, 4)
+		res, err := rg.QueryContext(ctx, core.Dynamic, q, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +252,7 @@ func TestReplicaGroupServingGeneration(t *testing.T) {
 	// order, from the group's log) before it serves again.
 	lag.failMutate.Store(false)
 	for q := int32(0); q < 6 && rg.InRotation() < 2; q++ {
-		if _, err := rg.Query(ctx, core.Dynamic, q, 4); err != nil {
+		if _, err := rg.QueryContext(ctx, core.Dynamic, q, 4); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -329,7 +337,7 @@ func TestLiveReplicatedByteIdentity(t *testing.T) {
 	// Post-heal queries must have driven catch-up on both groups.
 	for i, rg := range groups {
 		for q := int32(0); q < 8 && rg.InRotation() < 2; q++ {
-			if _, err := rg.Query(ctx, core.Dynamic, q, 4); err != nil {
+			if _, err := rg.QueryContext(ctx, core.Dynamic, q, 4); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -356,7 +364,7 @@ func TestReplicaGroupAllTrippedRecovery(t *testing.T) {
 	var flakies []*flakyReplica
 	members := make([]ShardBackend, 2)
 	for r := range members {
-		b, err := NewLiveShard(g, live.Config{PoolSize: 1}, Modulo{}, 1, 0)
+		b, err := liveStore(g, live.Config{PoolSize: 1}, Modulo{}, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,7 +381,7 @@ func TestReplicaGroupAllTrippedRecovery(t *testing.T) {
 		f.failQuery.Store(true)
 	}
 	// One query attempts (and trips) every replica: threshold 1.
-	if _, err := rg.Query(ctx, core.Dynamic, 0, 3); err == nil {
+	if _, err := rg.QueryContext(ctx, core.Dynamic, 0, 3); err == nil {
 		t.Fatal("query succeeded with every replica failing")
 	}
 	// The all-tripped group must keep reporting the replicas' real
@@ -388,7 +396,7 @@ func TestReplicaGroupAllTrippedRecovery(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := rg.Query(ctx, core.Dynamic, 0, 3); err == nil {
+		if _, err := rg.QueryContext(ctx, core.Dynamic, 0, 3); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -416,7 +424,7 @@ func TestReplicaGroupRegressedGenerationMutate(t *testing.T) {
 	ctx := context.Background()
 	mk := func() *flakyReplica {
 		t.Helper()
-		b, err := NewLiveShard(g, live.Config{PoolSize: 1}, Modulo{}, 1, 0)
+		b, err := liveStore(g, live.Config{PoolSize: 1}, Modulo{}, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -444,7 +452,7 @@ func TestReplicaGroupRegressedGenerationMutate(t *testing.T) {
 	// query fails, and the serving generation regresses to the sibling's.
 	up.failQuery.Store(true)
 	for i := 0; i < 3; i++ {
-		if _, err := rg.Query(ctx, core.Dynamic, 0, 3); err == nil {
+		if _, err := rg.QueryContext(ctx, core.Dynamic, 0, 3); err == nil {
 			t.Fatal("query succeeded though the up-to-date replica fails and the sibling cannot catch up")
 		}
 	}
@@ -465,7 +473,7 @@ func TestReplicaGroupRegressedGenerationMutate(t *testing.T) {
 	up.failQuery.Store(false)
 	deadline := time.Now().Add(5 * time.Second)
 	for rg.Generation() != 3 {
-		if _, err := rg.Query(ctx, core.Dynamic, 0, 3); err != nil {
+		if _, err := rg.QueryContext(ctx, core.Dynamic, 0, 3); err != nil {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {
@@ -536,7 +544,7 @@ func TestReplicaGroupMutateAppliedDespiteError(t *testing.T) {
 	ctx := context.Background()
 	mk := func() ShardBackend {
 		t.Helper()
-		b, err := NewLiveShard(g, live.Config{PoolSize: 1}, Modulo{}, 1, 0)
+		b, err := liveStore(g, live.Config{PoolSize: 1}, Modulo{}, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -561,6 +569,44 @@ func TestReplicaGroupMutateAppliedDespiteError(t *testing.T) {
 	}
 	if ghost.Generation() != 2 {
 		t.Fatalf("ghost replica at generation %d, want 2 (exactly one apply)", ghost.Generation())
+	}
+}
+
+// TestCoordinatorMutateAppliedDespiteError is the coordinator's twin of
+// TestReplicaGroupMutateAppliedDespiteError: an unreplicated live shard
+// that applies a batch and then reports an error must not be sent the
+// batch again, and the coordinator reports the one apply.
+func TestCoordinatorMutateAppliedDespiteError(t *testing.T) {
+	g := tg.Path(20)
+	stores := make([]*live.Store, 2)
+	for i := range stores {
+		s, err := liveStore(g, live.Config{PoolSize: 1}, Modulo{}, 2, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = s
+	}
+	ghost := &ghostFailReplica{ShardBackend: stores[0]}
+	ghost.fail.Store(true)
+	coord, err := New([]ShardBackend{ghost, stores[1]}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	info, err := coord.Mutate(context.Background(), []graph.Mutation{graph.SetWeight(0, 1, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ghost.calls.Load(); got != 1 {
+		t.Fatalf("batch sent %d times to the failing shard, want 1 (re-sending double-applies)", got)
+	}
+	if info.Generation != 2 {
+		t.Fatalf("batch advanced to generation %d, want 2", info.Generation)
+	}
+	for i, s := range stores {
+		if s.Generation() != 2 {
+			t.Fatalf("shard %d at generation %d, want 2 (exactly one apply)", i, s.Generation())
+		}
 	}
 }
 
@@ -652,5 +698,125 @@ func TestCoordinatorMutateImmutableReplicaGroup(t *testing.T) {
 	var ise *ImmutableShardError
 	if !errors.As(err, &ise) {
 		t.Fatalf("error = %v, want ImmutableShardError", err)
+	}
+}
+
+// answerBytes posts body to url under a fixed request ID and returns the
+// answer document with its timings and work counters cleared, encoded
+// again: what is left must be byte-identical across backends.
+func answerBytes(t *testing.T, url, body string, batch bool) []byte {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(body))
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Request-Id", "composite-0001")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Errorf("POST %s: status %d, %v: %s", url, resp.StatusCode, err, raw)
+		return nil
+	}
+	var doc any
+	if batch {
+		var br api.BatchResponse
+		err = json.Unmarshal(raw, &br)
+		br.ElapsedMS = 0
+		for i := range br.Results {
+			br.Results[i].ElapsedMS, br.Results[i].Stats = 0, nil
+		}
+		doc = br
+	} else {
+		var qr api.QueryResponse
+		err = json.Unmarshal(raw, &qr)
+		qr.ElapsedMS, qr.Stats = 0, nil
+		doc = qr
+	}
+	if err != nil {
+		t.Errorf("decode %s: %v", raw, err)
+		return nil
+	}
+	out, err := json.Marshal(doc)
+	if err != nil {
+		t.Error(err)
+	}
+	return out
+}
+
+// TestReplicaGroupServesHTTP: a ReplicaGroup of two unmasked pools over
+// one graph, one of them failing every call, stands behind server.New
+// both directly and through cache.NewBackend, and answers /v1/query and
+// /v1/batch exactly as a server over a single pool does, while requests
+// race each other (-race target).
+func TestReplicaGroupServesHTTP(t *testing.T) {
+	g := tieHeavy(21, false, 80)
+	serve := func(b server.Backend) string {
+		t.Helper()
+		srv, err := server.New(server.Config{Backend: b, Graph: g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	single := serve(core.NewPool(g, core.Options{}, 2))
+
+	om := obs.NewMetrics(nil)
+	dead := &flakyReplica{ShardBackend: core.NewPool(g, core.Options{}, 1)}
+	dead.failQuery.Store(true)
+	rg, err := NewReplicaGroup([]ShardBackend{dead, core.NewPool(g, core.Options{}, 2)}, Config{Metrics: om})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := cache.NewBackend(rg, cache.Config{MaxBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	queries := workload.Random(g, 12, 5)
+	var bodies []string
+	for _, algo := range []string{"static", "dynamic"} {
+		for _, q := range queries {
+			bodies = append(bodies, fmt.Sprintf(`{"algorithm":%q,"q":%d,"k":6}`, algo, q))
+		}
+	}
+	batch := fmt.Sprintf(`{"algorithm":"dynamic","queries":%s,"k":6}`, strings.ReplaceAll(fmt.Sprint(queries), " ", ","))
+	want := make([][]byte, len(bodies))
+	for i, body := range bodies {
+		want[i] = answerBytes(t, single+"/v1/query", body, false)
+	}
+	wantBatch := answerBytes(t, single+"/v1/batch", batch, true)
+
+	for name, url := range map[string]string{"group": serve(rg), "cached group": serve(cached)} {
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				// Each worker sends every query twice (the cached server
+				// answers the second from the cache), in its own order.
+				for n := 0; n < 2*len(bodies); n++ {
+					i := (n + 5*w) % len(bodies)
+					if got := answerBytes(t, url+"/v1/query", bodies[i], false); !bytes.Equal(got, want[i]) {
+						t.Errorf("%s: %s answered\n %s\nwant\n %s", name, bodies[i], got, want[i])
+					}
+				}
+				if got := answerBytes(t, url+"/v1/batch", batch, true); !bytes.Equal(got, wantBatch) {
+					t.Errorf("%s: batch answered\n %s\nwant\n %s", name, got, wantBatch)
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+	if om.ReplicaFailovers.Value() == 0 {
+		t.Error("no failover counted although one replica fails every call")
 	}
 }

@@ -230,7 +230,7 @@ func (p *Pool) QueryMany(a Algorithm, queries []int32, k int) ([]*Result, error)
 // refinement traversal work through the engine's arena (batchexec.go) and
 // assemble results from chunked slabs. Results are byte-identical to the
 // per-query path — replays reproduce serial refinements exactly — which is
-// what lets cluster.LocalShard.QueryBatch inherit the sharing for free.
+// what lets a pool serving as a cluster shard inherit the sharing for free.
 func (p *Pool) QueryManyContext(ctx context.Context, a Algorithm, queries []int32, k int) ([]*Result, error) {
 	if err := p.validate(a, k); err != nil {
 		return nil, err

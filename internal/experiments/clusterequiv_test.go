@@ -31,7 +31,7 @@ func TestFigure6QuerySetClusterEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coord, err := cluster.NewLocal(g, core.Options{}, cluster.DegreeBalanced{}, 4, 1,
+		coord, err := cluster.NewLocal(g, core.Options{}, cluster.DegreeBalanced{}, 4, 1, 1,
 			seed.Snapshot().Sharded(), cluster.Config{})
 		if err != nil {
 			t.Fatal(err)

@@ -60,7 +60,7 @@ func TestHubLabelShardCacheBatchEquivalence(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 4, 8} {
 		coord, err := cluster.NewLocal(g, core.Options{Labels: labels},
-			cluster.DegreeBalanced{}, shards, 2, nil, cluster.Config{})
+			cluster.DegreeBalanced{}, shards, 1, 2, nil, cluster.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,14 +26,14 @@ func (r *Runner) ServingCluster() (*stats.Table, error) {
 		"refinements")
 	k := maxK(r.cfg.Ks)
 	g := r.DBLP()
-	queries := workload.Random(g, r.cfg.Queries, r.cfg.Seed+43)
+	queries := workload.Random(g, max(r.cfg.Queries, minTimedQueries), r.cfg.Seed+43)
 
 	for _, shards := range shardSweep(r.cfg.Workers) {
-		pruned, err := cluster.NewLocal(g, core.Options{}, cluster.DegreeBalanced{}, shards, 1, nil, cluster.Config{})
+		pruned, err := cluster.NewLocal(g, core.Options{}, cluster.DegreeBalanced{}, shards, 1, 1, nil, cluster.Config{})
 		if err != nil {
 			return nil, err
 		}
-		naive, err := cluster.NewLocal(g, core.Options{}, cluster.DegreeBalanced{}, shards, 1, nil, cluster.Config{NaiveGather: true})
+		naive, err := cluster.NewLocal(g, core.Options{}, cluster.DegreeBalanced{}, shards, 1, 1, nil, cluster.Config{NaiveGather: true})
 		if err != nil {
 			return nil, err
 		}

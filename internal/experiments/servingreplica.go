@@ -26,16 +26,16 @@ type deadReplica struct {
 var errReplicaDead = errors.New("experiments: replica down")
 
 // minTimedQueries is the fewest queries a mean (ms) cell of
-// serving_replica averages, at every scale, as minTimedBatches is for
-// batches: a mean of a dozen sub-millisecond queries moves with one
-// scheduler hiccup.
+// serving_replica and serving_cluster averages, at every scale, as
+// minTimedBatches is for batches: a mean of a dozen sub-millisecond
+// queries moves with one scheduler hiccup.
 const minTimedQueries = 100
 
-func (d *deadReplica) Query(ctx context.Context, a core.Algorithm, q int32, k int) (*core.Result, error) {
+func (d *deadReplica) QueryContext(ctx context.Context, a core.Algorithm, q int32, k int) (*core.Result, error) {
 	return nil, errReplicaDead
 }
 
-func (d *deadReplica) QueryBatch(ctx context.Context, a core.Algorithm, queries []int32, k int) ([]*core.Result, error) {
+func (d *deadReplica) QueryManyContext(ctx context.Context, a core.Algorithm, queries []int32, k int) ([]*core.Result, error) {
 	return nil, errReplicaDead
 }
 
@@ -64,16 +64,17 @@ func (r *Runner) ServingReplica() (*stats.Table, error) {
 		}
 		backends := make([]cluster.ShardBackend, shards)
 		for i := 0; i < shards; i++ {
+			mask, err := cluster.ShardMask(g, cluster.DegreeBalanced{}, shards, i, nil)
+			if err != nil {
+				return nil, err
+			}
 			members := make([]cluster.ShardBackend, 2)
 			for j := range members {
-				ls, err := cluster.NewLocalShard(g, core.Options{}, cluster.DegreeBalanced{}, shards, i, 1, nil)
-				if err != nil {
-					return nil, err
-				}
+				pool := core.NewPool(g, core.Options{Candidates: mask}, 1)
 				if j == 0 {
-					members[j] = &deadReplica{ShardBackend: ls}
+					members[j] = &deadReplica{ShardBackend: pool}
 				} else {
-					members[j] = ls
+					members[j] = pool
 				}
 			}
 			rg, err := cluster.NewReplicaGroup(members, cfg)

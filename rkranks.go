@@ -319,14 +319,14 @@ func NewCluster(g *Graph, opts Options, co ClusterOptions) (*Cluster, error) {
 		if co.Index != nil {
 			indexMaxK = co.Index.MaxK()
 		}
-		return cluster.NewLocalLiveReplicated(g, live.Config{
+		return cluster.NewLocalLive(g, live.Config{
 			Options:  opts,
 			PoolSize: co.PoolSize,
 			Labels:   co.Labels,
 			Relabel:  co.Relabel,
 		}, indexMaxK, part, co.Shards, co.Replicas, cfg)
 	}
-	return cluster.NewLocalReplicated(g, opts, part, co.Shards, co.Replicas, co.PoolSize, co.Index, cfg)
+	return cluster.NewLocal(g, opts, part, co.Shards, co.Replicas, co.PoolSize, co.Index, cfg)
 }
 
 // Declarative cluster topology. cmd/rkcluster boots from one JSON

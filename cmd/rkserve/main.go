@@ -1,7 +1,8 @@
 // Command rkserve serves reverse k-ranks queries over HTTP: the production
 // front of the repository, wrapping a core.Pool (and, by default, one
-// shared concurrent index that learns from all traffic) in the admission,
-// deadline, observability, and drain machinery of internal/server.
+// shared concurrent index that learns from all traffic), a live store, or
+// a cluster coordinator in the admission, deadline, observability, and
+// drain machinery of internal/server.
 //
 // Usage:
 //
@@ -12,13 +13,14 @@
 //	rkserve -graph g.rkg -cache-mb 64                       # response cache + singleflight coalescing
 //	rkserve -graph g.rkg -hub-count -1 -hub-save g.rkhl     # build a complete hub labeling, save, serve hublabel
 //	rkserve -graph g.rkg -hub-load g.rkhl                   # serve hublabel from a prebuilt labeling
-//	rkserve -graph g.rkg -shard 0/4                         # serve vertex shard 0 of 4 (see cmd/rkcluster)
+//	rkserve -graph g.rkg -shard 0/4                         # serve vertex shard 0 of 4 to a coordinator
+//	rkserve -graph g.rkg -topology topo.json -cache-mb 64   # coordinator over the shards topo.json declares
 //	rkserve -graph g.rkg -live                              # mutable graph: POST /v1/mutate applies live batches
 //	rkserve -graph g.rkg -index-follow http://leader:8080   # replica: inherit the leader's learned index
 //
 // With -shard i/P the instance answers queries for its own vertex shard
 // only (an internal/cluster partitioner mask over the candidate class);
-// a cmd/rkcluster coordinator pointed at all P instances then serves the
+// a coordinator (-topology) pointed at all P instances then serves the
 // whole graph. Every shard must load the SAME graph and agree on
 // (-shard-partitioner, P). A shard may be a replica SET: point several
 // identical instances at the same shard spec and list them together in
@@ -26,6 +28,25 @@
 // cold-starts its dynamic index from a leader's snapshot and keeps
 // absorbing the leader's refinement deltas instead of re-deriving the
 // learned state from its own traffic.
+//
+// With -topology the instance is a scatter-gather coordinator
+// (internal/cluster) behind the same HTTP contract. The JSON file names
+// remote replica sets (format in the README's "Replication & failover"):
+//
+//	{"shards": [
+//	  {"replicas": ["http://s0a:8080", "http://s0b:8080"]},
+//	  {"replicas": ["http://s1a:8080", "http://s1b:8080"]}
+//	]}
+//
+// or in-process shards, {"partitioner": "degree", "local": {"shards": 4}},
+// built with this instance's engine flags (-pool, -live, -index or
+// -build-index, -hub-*). Each URL of shard i must serve the same graph
+// as `rkserve -shard i/P` with the topology's partitioner; the
+// coordinator checks all three on each /healthz at startup. A remote
+// topology refuses the engine flags (each backend has its own), and
+// every topology refuses -shard, -shard-partitioner, -index-follow and
+// -index-sync. /healthz reports the shard count, and /metrics the calls
+// to each shard (rkranks_cluster_shard_calls_total{shard}).
 //
 // Endpoints: POST /v1/query, POST /v1/batch, POST /v1/mutate (with
 // -live), GET /v1/index/snapshot, GET /v1/index/deltas, GET /healthz,
@@ -44,6 +65,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -99,8 +121,10 @@ func run(args []string, logger *slog.Logger, ready chan<- string) error {
 
 		liveMode = fs.Bool("live", false, "serve a mutable graph behind POST /v1/mutate: weight changes patch in place, topology changes rebuild and swap")
 
+		topoPath = fs.String("topology", "", "serve as a cluster coordinator over the shards this JSON file declares: remote rkserve replica sets, or in-process shards built with this instance's engine flags")
+
 		cacheMB   = fs.Int("cache-mb", 0, "response cache budget in MiB (0 disables); duplicate in-flight queries coalesce onto one engine permit")
-		poolSize  = fs.Int("pool", 0, "engine pool size (0 = GOMAXPROCS-derived)")
+		poolSize  = fs.Int("pool", 0, "engine pool size, per shard with a local -topology (0 = GOMAXPROCS-derived)")
 		algo      = fs.String("algo", "", "default algorithm (empty = indexed when an index is loaded, else dynamic)")
 		inflight  = fs.Int("max-inflight", 0, "max requests served concurrently (0 = 2x pool)")
 		queue     = fs.Int("max-queue", 0, "max requests waiting for a slot (0 = 4x max-inflight)")
@@ -113,6 +137,16 @@ func run(args []string, logger *slog.Logger, ready chan<- string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	var topo *api.Topology
+	if *topoPath != "" {
+		var err error
+		if topo, err = readTopology(*topoPath); err != nil {
+			return err
+		}
+		if err := refuseTopologyFlags(fs, len(topo.Shards) > 0); err != nil {
+			return err
+		}
 	}
 	if *indexFollow != "" {
 		if *liveMode {
@@ -129,9 +163,9 @@ func run(args []string, logger *slog.Logger, ready chan<- string) error {
 	}
 	logger.Info("graph loaded", slog.Int("nodes", g.N()), slog.Int64("edges", g.M()), slog.Bool("directed", g.Directed()))
 
-	// One registry-backed catalog for the whole process: the live store,
-	// the response cache, and the server all record into it, so /metrics
-	// is the union of their instruments.
+	// One registry-backed catalog for the whole process: the live store
+	// or the coordinator, the response cache, and the server all record
+	// into it, so /metrics is the union of their instruments.
 	om := obs.NewMetrics(obs.NewRegistry())
 
 	var healthExtra map[string]any
@@ -144,8 +178,8 @@ func run(args []string, logger *slog.Logger, ready chan<- string) error {
 		}
 		opts.Candidates = mask
 		shardNo, shardCount = shard, shards
-		// Published on /healthz so a rkcluster coordinator can verify
-		// shard ownership at startup (see cluster.NewRemoteShard).
+		// Published on /healthz so a coordinator can verify shard
+		// ownership at startup (see cluster.NewRemoteShard).
 		healthExtra = map[string]any{
 			"shard":             fmt.Sprintf("%d/%d", shard, shards),
 			"shard_partitioner": *shardPart,
@@ -161,10 +195,24 @@ func run(args []string, logger *slog.Logger, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
+	opts.Labels = labels
 	var inner cache.Target
 	var follower *cluster.IndexFollower
-	if *liveMode {
-		lcfg := live.Config{Options: opts, PoolSize: *poolSize, Labels: labels, Metrics: om}
+	switch {
+	case topo != nil:
+		coord, err := newCoordinator(g, topo, opts, *poolSize, *liveMode, ix, om, logger)
+		if err != nil {
+			return err
+		}
+		inner = coord
+		logger.Info("coordinator ready",
+			slog.Int("shards", coord.ShardCount()),
+			slog.Int("capacity", coord.Size()),
+			slog.Bool("indexed", coord.Indexed()),
+			slog.Bool("hub_labeled", coord.HubLabeled()),
+			slog.Bool("strict", topo.StrictConsistency))
+	case *liveMode:
+		lcfg := live.Config{Options: opts, PoolSize: *poolSize, Metrics: om}
 		if ix != nil {
 			lcfg.Index = ix
 		}
@@ -187,7 +235,7 @@ func run(args []string, logger *slog.Logger, ready chan<- string) error {
 		logger.Info("live store ready", slog.Int("engines", store.Size()),
 			slog.Bool("indexed", ix != nil), slog.Bool("hub_labeled", labels != nil),
 			slog.Uint64("generation", store.Generation()))
-	} else {
+	default:
 		// Any index an immutable rkserve serves is wrapped for
 		// replication: refinements it learns from traffic append to a
 		// delta log that GET /v1/index/snapshot + /v1/index/deltas expose
@@ -213,7 +261,6 @@ func run(args []string, logger *slog.Logger, ready chan<- string) error {
 			repl = ridx.NewReplicated(ix, 0)
 		}
 		var pool *core.Pool
-		opts.Labels = labels
 		if repl != nil {
 			if pool, err = core.NewPoolWithIndex(g, opts, *poolSize, repl); err != nil {
 				return err
@@ -302,6 +349,117 @@ func run(args []string, logger *slog.Logger, ready chan<- string) error {
 	return nil
 }
 
+// readTopology reads and validates the -topology file.
+func readTopology(path string) (*api.Topology, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	t, err := api.ReadTopology(f)
+	if err != nil {
+		return nil, fmt.Errorf("rkserve: topology %s: %w", path, err)
+	}
+	return t, nil
+}
+
+// refuseTopologyFlags fails on explicitly set flags a coordinator cannot
+// honour: it is neither a shard nor an index follower, and remote shards
+// are booted with their own engine flags.
+func refuseTopologyFlags(fs *flag.FlagSet, remote bool) error {
+	var refused []string
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "shard", "shard-partitioner", "index-follow", "index-sync":
+		case "index", "build-index", "index-h", "index-m", "index-k", "live", "pool",
+			"hub-load", "hub-save", "hub-count", "hub-strategy", "hub-workers":
+			if !remote {
+				return
+			}
+		default:
+			return
+		}
+		refused = append(refused, "-"+f.Name)
+	})
+	if len(refused) > 0 {
+		return fmt.Errorf("rkserve: %s cannot apply with this -topology: a coordinator is neither a shard nor an index follower, and remote shards are booted with their own engine flags",
+			strings.Join(refused, ", "))
+	}
+	return nil
+}
+
+// newCoordinator assembles the shard backends topo declares: remote
+// rkserve replica sets when it lists shards, else masked in-process
+// pools or live stores (optionally replicated) built with opts, the pool
+// size and ix.
+func newCoordinator(g *graph.Graph, topo *api.Topology, opts core.Options, poolSize int, liveMode bool,
+	ix *ridx.ShardedIndex, om *obs.Metrics, logger *slog.Logger) (*cluster.Coordinator, error) {
+	cfg := cluster.Config{StrictConsistency: topo.StrictConsistency, Metrics: om}
+	if P := len(topo.Shards); P > 0 {
+		partName := topo.Partitioner
+		if partName == "" {
+			partName = "modulo"
+		}
+		backends := make([]cluster.ShardBackend, 0, P)
+		for i, ts := range topo.Shards {
+			expect := cluster.RemoteExpect{Nodes: g.N()}
+			if P > 1 {
+				// Merging assumes disjoint shard ownership: every replica
+				// of entry i must have been booted as shard i of P with
+				// the coordinator's partitioner. A single shard may serve
+				// anything (degenerate one-shard cluster).
+				expect.Shard = fmt.Sprintf("%d/%d", i, P)
+				expect.Partitioner = partName
+			}
+			members := make([]cluster.ShardBackend, 0, len(ts.Replicas))
+			for _, url := range ts.Replicas {
+				// Bounded dial: a backend that TCP-accepts but never
+				// answers must fail startup loudly, not hang it forever.
+				dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				rs, err := cluster.NewRemoteShard(dctx, url, expect)
+				cancel()
+				if err != nil {
+					return nil, err
+				}
+				logger.Info("replica attached", slog.Int("shard", i), slog.String("url", url),
+					slog.Int("capacity", rs.Size()), slog.Bool("indexed", rs.Indexed()))
+				members = append(members, rs)
+			}
+			if len(members) == 1 {
+				backends = append(backends, members[0])
+				continue
+			}
+			rg, err := cluster.NewReplicaGroup(members, cfg)
+			if err != nil {
+				return nil, err
+			}
+			logger.Info("replica set ready", slog.Int("shard", i), slog.Int("replicas", len(members)))
+			backends = append(backends, rg)
+		}
+		return cluster.New(backends, cfg)
+	}
+
+	shards, replicas := topo.Local.ShardCount(), topo.Local.ReplicaCount()
+	part, err := cluster.ParsePartitioner(topo.Partitioner)
+	if err != nil {
+		return nil, err
+	}
+	if liveMode {
+		indexMaxK := 0
+		if ix != nil {
+			// Live shards each start their OWN empty index at this MaxK
+			// (rebuild swaps preclude sharing one; see ClusterOptions.Index).
+			indexMaxK = ix.MaxK()
+		}
+		return cluster.NewLocalLive(g, live.Config{Options: opts, PoolSize: poolSize, Metrics: om}, indexMaxK, part, shards, replicas, cfg)
+	}
+	var shared ridx.Index
+	if ix != nil {
+		shared = ix
+	}
+	return cluster.NewLocal(g, opts, part, shards, replicas, poolSize, shared, cfg)
+}
+
 // shardMask parses -shard's "i/P" spec into the shard's candidate mask.
 func shardMask(g *graph.Graph, spec, partName string) ([]bool, int, int, error) {
 	var shard, shards int
@@ -383,9 +541,9 @@ func loadOrBuildLabels(g *graph.Graph, path, save string, count int, strategy st
 	return labels, nil
 }
 
-// loadGraph resolves -graph/-gen. The -gen parameters are shared with
-// rkcluster through gen.Named: cluster shards and their coordinator must
-// build bit-identical graphs.
+// loadGraph resolves -graph/-gen. The -gen parameters go through
+// gen.Named: cluster shards and their coordinator must build
+// bit-identical graphs.
 func loadGraph(path, genType string, nodes int, seed int64) (*graph.Graph, error) {
 	switch {
 	case path != "" && genType != "":

@@ -16,8 +16,8 @@ import (
 	"rkranks/internal/obs"
 )
 
-// Client is the typed HTTP client for the v1 wire protocol of rkserve and
-// rkcluster instances: Query, Batch, Mutate, Health, and the index
+// Client is the typed HTTP client for the v1 wire protocol of rkserve
+// instances: Query, Batch, Mutate, Health, and the index
 // replication calls IndexSnapshot and IndexDeltas. It is promoted to the
 // public surface as rkranks.Client; the rkbench load generator, the
 // serving_http experiment, the cluster coordinator's remote shards, and

@@ -7,13 +7,14 @@ import (
 	"strings"
 )
 
-// Topology is the declarative cluster layout consumed by rkcluster's
-// -topology flag (and promoted to the public surface as
-// rkranks.Topology): one JSON document names every shard group with its
+// Topology is the declarative cluster layout consumed by rkserve's
+// -topology flag: one JSON document names every shard group with its
 // replica set, plus the coordinator-level options. Zero values mean the
 // documented defaults throughout, matching the options convention of
 // the rest of the surface; the zero Topology is one local, unreplicated
-// shard.
+// shard. Everything else a coordinator serves with (the response cache,
+// and for in-process shards the pool size, live mutations, the index
+// and the hub labeling) comes from rkserve's own flags.
 //
 // Remote form — each entry of Shards is one shard group; replicas are
 // rkserve base URLs all serving the same shard mask (shard i of
@@ -28,7 +29,7 @@ import (
 //
 // Local form — in-process shards, mainly for development and tests:
 //
-//	{"local": {"shards": 2, "replicas": 2, "live": true}}
+//	{"local": {"shards": 2, "replicas": 2}}
 type Topology struct {
 	// Partitioner names the vertex partitioner every shard must agree
 	// on: "modulo" (default) or "degree".
@@ -36,9 +37,6 @@ type Topology struct {
 	// StrictConsistency refuses degraded (Partial) answers when a shard
 	// group is unavailable, failing the query instead.
 	StrictConsistency bool `json:"strict_consistency,omitempty"`
-	// CacheMB adds a coordinator-level response cache of this budget
-	// (0 = no cache).
-	CacheMB int `json:"cache_mb,omitempty"`
 
 	// Exactly one of Local / Shards describes the shard layout; both
 	// empty means one local unreplicated shard.
@@ -54,10 +52,8 @@ type TopologyShard struct {
 
 // LocalTopology describes in-process shards.
 type LocalTopology struct {
-	Shards   int  `json:"shards,omitempty"`    // shard groups (0 = 1)
-	Replicas int  `json:"replicas,omitempty"`  // replicas per group (0 = 1)
-	Live     bool `json:"live,omitempty"`      // mutable shards (/v1/mutate)
-	PoolSize int  `json:"pool_size,omitempty"` // engines per shard (0 = derived default)
+	Shards   int `json:"shards,omitempty"`   // shard groups (0 = 1)
+	Replicas int `json:"replicas,omitempty"` // replicas per group (0 = 1)
 }
 
 // ReplicaCount reports the configured replicas per shard group, with
@@ -77,8 +73,7 @@ func (l *LocalTopology) ShardCount() int {
 	return l.Shards
 }
 
-// Validate checks the topology's internal consistency. It returns plain
-// errors; rkranks.ValidateTopology wraps them in ErrInvalidOptions.
+// Validate checks the topology's internal consistency.
 func (t *Topology) Validate() error {
 	if t == nil {
 		return fmt.Errorf("api: nil topology")
@@ -88,15 +83,12 @@ func (t *Topology) Validate() error {
 	default:
 		return fmt.Errorf("api: unknown partitioner %q (want modulo or degree)", t.Partitioner)
 	}
-	if t.CacheMB < 0 {
-		return fmt.Errorf("api: cache_mb must be >= 0, got %d", t.CacheMB)
-	}
 	if t.Local != nil && len(t.Shards) > 0 {
 		return fmt.Errorf("api: topology must not set both local and shards")
 	}
 	if t.Local != nil {
-		if t.Local.Shards < 0 || t.Local.Replicas < 0 || t.Local.PoolSize < 0 {
-			return fmt.Errorf("api: local shard/replica/pool counts must be >= 0")
+		if t.Local.Shards < 0 || t.Local.Replicas < 0 {
+			return fmt.Errorf("api: local shard/replica counts must be >= 0")
 		}
 	}
 	for i, s := range t.Shards {

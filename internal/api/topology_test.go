@@ -11,7 +11,6 @@ func TestReadTopologyRemote(t *testing.T) {
 	doc := `{
 	  "partitioner": "degree",
 	  "strict_consistency": true,
-	  "cache_mb": 64,
 	  "shards": [
 	    {"replicas": ["http://a:8081", "http://b:8081"]},
 	    {"replicas": ["https://c:8081"]}
@@ -21,7 +20,7 @@ func TestReadTopologyRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if topo.Partitioner != "degree" || !topo.StrictConsistency || topo.CacheMB != 64 {
+	if topo.Partitioner != "degree" || !topo.StrictConsistency {
 		t.Errorf("options lost in decode: %+v", topo)
 	}
 	if len(topo.Shards) != 2 || len(topo.Shards[0].Replicas) != 2 {
@@ -30,15 +29,12 @@ func TestReadTopologyRemote(t *testing.T) {
 }
 
 func TestReadTopologyLocalDefaults(t *testing.T) {
-	topo, err := ReadTopology(strings.NewReader(`{"local": {"live": true}}`))
+	topo, err := ReadTopology(strings.NewReader(`{"local": {}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if topo.Local.ShardCount() != 1 || topo.Local.ReplicaCount() != 1 {
 		t.Errorf("zero counts must default to 1, got %d/%d", topo.Local.ShardCount(), topo.Local.ReplicaCount())
-	}
-	if !topo.Local.Live {
-		t.Error("live flag lost")
 	}
 	// An absent local section is also nil-safe.
 	var l *LocalTopology
@@ -58,6 +54,10 @@ func TestReadTopologyRejections(t *testing.T) {
 		{"negative first_round_k", `{"first_round_k": -1}`},
 		{"removed first_round_k", `{"first_round_k": 10}`},
 		{"negative cache_mb", `{"cache_mb": -5}`},
+		// Removed: rkserve's -cache-mb, -live and -pool set these.
+		{"removed cache_mb", `{"cache_mb": 32, "local": {"shards": 2}}`},
+		{"removed local.live", `{"local": {"shards": 2, "live": true}}`},
+		{"removed local.pool_size", `{"local": {"shards": 2, "pool_size": 1}}`},
 		{"both local and shards", `{"local": {"shards": 2}, "shards": [{"replicas": ["http://a"]}]}`},
 		{"negative local counts", `{"local": {"replicas": -1}}`},
 		{"shard without replicas", `{"shards": [{"replicas": []}]}`},
@@ -88,16 +88,16 @@ func TestValidateNilTopology(t *testing.T) {
 func FuzzReadTopology(f *testing.F) {
 	for _, seed := range []string{
 		// README, "Replication & failover".
-		`{"partitioner": "modulo", "strict_consistency": false, "cache_mb": 32,
+		`{"partitioner": "modulo", "strict_consistency": false,
 		  "shards": [{"replicas": ["http://host0a:8081", "http://host0b:8081"]},
 		             {"replicas": ["http://host1a:8081", "http://host1b:8081"]}]}`,
-		`{"local": {"shards": 2, "replicas": 2, "live": true}}`,
-		// rkcluster's package doc.
+		`{"local": {"shards": 2, "replicas": 2}}`,
+		// rkserve's package doc.
 		`{"shards": [{"replicas": ["http://s0a:8080", "http://s0b:8080"]},
 		             {"replicas": ["http://s1a:8080", "http://s1b:8080"]}]}`,
 		`{"partitioner": "degree", "local": {"shards": 4}}`,
 		// A field that no longer exists, and a layout Validate refuses.
-		`{"partitioner": "degree", "first_round_k": 10, "local": {"shards": 2}}`,
+		`{"partitioner": "degree", "cache_mb": 32, "local": {"shards": 2, "live": true}}`,
 		`{"local": {"shards": 2}, "shards": [{"replicas": ["http://a:8081"]}]}`,
 	} {
 		f.Add(seed)

@@ -21,12 +21,12 @@ import (
 // so a *core.Pool, *live.Store, *cache.Backend, RemoteShard or ReplicaGroup
 // serves as a shard or replica member as it stands. The optional
 // capabilities (Generation, HubLabeled, HubLabelBytes, Mutate) are probed
-// on the member itself, not through a decorator's Unwrap, so a
-// *cache.Backend member hides its target's. Implementations must
-// be safe for concurrent use — the coordinator scatters to every shard in
-// parallel and may overlap queries. Every implementation passes ctx down
-// to the engines, since the merged k a coordinator's shard calls carry
-// rides it (core.WithMergedK).
+// through decorator chains (core.Probe), so a *cache.Backend member
+// exposes its target's. Implementations must be safe for concurrent
+// use — the coordinator scatters to every shard in parallel and may
+// overlap queries. Every implementation passes ctx down to the engines,
+// since the merged k a coordinator's shard calls carry rides it
+// (core.WithMergedK).
 type ShardBackend interface {
 	// QueryContext returns the shard-local top-k. Without a merged k on
 	// ctx it is the canonical top-k, and a result shorter than k means the

@@ -325,7 +325,7 @@ func (c *Coordinator) Indexed() bool {
 // queries are serveable only when every shard holds a hub labeling.
 func (c *Coordinator) HubLabeled() bool {
 	for _, b := range c.backends {
-		hl, ok := b.(interface{ HubLabeled() bool })
+		hl, ok := core.Probe[interface{ HubLabeled() bool }](b)
 		if !ok || !hl.HubLabeled() {
 			return false
 		}
@@ -340,7 +340,7 @@ func (c *Coordinator) HubLabeled() bool {
 func (c *Coordinator) HubLabelBytes() int64 {
 	var total int64
 	for _, b := range c.backends {
-		if hb, ok := b.(interface{ HubLabelBytes() int64 }); ok {
+		if hb, ok := core.Probe[interface{ HubLabelBytes() int64 }](b); ok {
 			total += hb.HubLabelBytes()
 		}
 	}
@@ -362,11 +362,7 @@ func (c *Coordinator) HubLabelBytes() int64 {
 func (c *Coordinator) Generation() uint64 {
 	var gen uint64
 	for _, b := range c.backends {
-		if gp, ok := b.(interface{ Generation() uint64 }); ok {
-			if g := gp.Generation(); g > gen {
-				gen = g
-			}
-		}
+		gen = max(gen, backendGeneration(b))
 	}
 	return gen
 }
@@ -744,7 +740,7 @@ type shardMutator interface {
 func (c *Coordinator) Mutate(ctx context.Context, ms []graph.Mutation) (live.MutateInfo, error) {
 	muts := make([]shardMutator, len(c.backends))
 	for i, b := range c.backends {
-		m, ok := b.(shardMutator)
+		m, ok := core.Probe[shardMutator](b)
 		if !ok {
 			return live.MutateInfo{}, &ImmutableShardError{Shard: i}
 		}

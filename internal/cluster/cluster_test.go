@@ -7,10 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"rkranks/internal/cache"
 	"rkranks/internal/core"
 	"rkranks/internal/gen"
 	"rkranks/internal/graph"
 	"rkranks/internal/hub"
+	"rkranks/internal/live"
 	"rkranks/internal/rank"
 	"rkranks/internal/ridx"
 	tg "rkranks/internal/testgraphs"
@@ -540,6 +542,78 @@ func TestCapabilityAggregation(t *testing.T) {
 		}
 		if got := l.HubLabelBytes(); got != tc.bytes {
 			t.Errorf("%s: HubLabelBytes() = %d, want %d", tc.name, got, tc.bytes)
+		}
+	}
+}
+
+// TestProbesSeeThroughCacheMembers: the capability probes walk a
+// member's decorator chain, so a cache-wrapped member keeps its target's
+// labeling, generation and mutations.
+func TestProbesSeeThroughCacheMembers(t *testing.T) {
+	g, err := gen.Named("dblp", 300, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels, err := hub.BuildLabels(g, hub.Order(g, hub.DegreeFirst, 30, hub.Options{}), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := func(b cache.Target) ShardBackend {
+		t.Helper()
+		cb, err := cache.NewBackend(b, cache.Config{MaxBytes: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cb
+	}
+	coord, err := New([]ShardBackend{cached(core.NewPool(g, core.Options{Labels: labels}, 1))}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !coord.HubLabeled() || coord.HubLabelBytes() != labels.Bytes() {
+		t.Errorf("coordinator over a cached labeled pool: HubLabeled %v, HubLabelBytes %d, want true, %d",
+			coord.HubLabeled(), coord.HubLabelBytes(), labels.Bytes())
+	}
+
+	ctx := context.Background()
+	store := func() *live.Store {
+		t.Helper()
+		s, err := live.NewStore(g.Clone(), live.Config{PoolSize: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	rg, err := NewReplicaGroup([]ShardBackend{cached(store()), cached(store())}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen := rg.Generation(); gen != 1 {
+		t.Errorf("group of cached live stores at generation 1 reports %d", gen)
+	}
+	single := store()
+	ms := []graph.Mutation{graph.AddVertices(1), graph.InsertEdge(int32(g.N()), 0, 1)}
+	info, err := rg.Mutate(ctx, ms)
+	if err != nil {
+		t.Fatalf("group mutate: %v", err)
+	}
+	if _, err := single.Mutate(ctx, ms); err != nil {
+		t.Fatal(err)
+	}
+	if info.Generation != 2 || rg.Generation() != 2 {
+		t.Errorf("after one batch: mutate reports %d, group %d, want 2", info.Generation, rg.Generation())
+	}
+	for _, q := range append(workload.Random(g, 6, 5), int32(g.N())) {
+		want, err := single.QueryContext(ctx, core.Dynamic, q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rg.QueryContext(ctx, core.Dynamic, q, 10)
+		if err != nil {
+			t.Fatalf("q=%d: %v", q, err)
+		}
+		if !entriesEqual(got.Entries, want.Entries) || got.Generation != want.Generation {
+			t.Errorf("q=%d: group %v at %d, uncached store %v at %d", q, got.Entries, got.Generation, want.Entries, want.Generation)
 		}
 	}
 }

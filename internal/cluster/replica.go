@@ -111,7 +111,7 @@ func NewReplicaGroup(replicas []ShardBackend, cfg Config) (*ReplicaGroup, error)
 // backendGeneration probes a backend's graph generation (0 when the
 // backend has none — immutable groups never leave generation 0).
 func backendGeneration(b ShardBackend) uint64 {
-	if gp, ok := b.(interface{ Generation() uint64 }); ok {
+	if gp, ok := core.Probe[interface{ Generation() uint64 }](b); ok {
 		return gp.Generation()
 	}
 	return 0
@@ -245,7 +245,7 @@ func replicaCall[T any](ctx context.Context, g *ReplicaGroup, call func(b ShardB
 // that lose the TryLock skip the replica this query. Returns whether
 // the replica reached the serving generation.
 func (g *ReplicaGroup) catchUp(ctx context.Context, i int, cur, target uint64) bool {
-	m, ok := g.replicas[i].(shardMutator)
+	m, ok := core.Probe[shardMutator](g.replicas[i])
 	if !ok {
 		return false
 	}
@@ -303,10 +303,10 @@ type generationProber interface {
 // failed, so an applied-but-errored batch cannot be detected and the
 // caller falls back to the plain retry.
 func currentGeneration(ctx context.Context, m shardMutator) (uint64, bool) {
-	if gp, ok := m.(interface{ Generation() uint64 }); ok {
+	if gp, ok := core.Probe[interface{ Generation() uint64 }](m); ok {
 		return gp.Generation(), true
 	}
-	if gp, ok := m.(generationProber); ok {
+	if gp, ok := core.Probe[generationProber](m); ok {
 		if gen, err := gp.ProbeGeneration(ctx); err == nil {
 			return gen, true
 		}
@@ -399,7 +399,7 @@ func (g *ReplicaGroup) QueryManyContext(ctx context.Context, a core.Algorithm, q
 func (g *ReplicaGroup) Mutate(ctx context.Context, ms []graph.Mutation) (live.MutateInfo, error) {
 	muts := make([]shardMutator, len(g.replicas))
 	for i, b := range g.replicas {
-		m, ok := b.(shardMutator)
+		m, ok := core.Probe[shardMutator](b)
 		if !ok {
 			return live.MutateInfo{}, &ImmutableShardError{Shard: i}
 		}
@@ -498,7 +498,7 @@ func (g *ReplicaGroup) Indexed() bool {
 // (same reasoning as Indexed).
 func (g *ReplicaGroup) HubLabeled() bool {
 	for _, b := range g.replicas {
-		hl, ok := b.(interface{ HubLabeled() bool })
+		hl, ok := core.Probe[interface{ HubLabeled() bool }](b)
 		if !ok || !hl.HubLabeled() {
 			return false
 		}
@@ -511,7 +511,7 @@ func (g *ReplicaGroup) HubLabeled() bool {
 func (g *ReplicaGroup) HubLabelBytes() int64 {
 	var max int64
 	for _, b := range g.replicas {
-		if hb, ok := b.(interface{ HubLabelBytes() int64 }); ok {
+		if hb, ok := core.Probe[interface{ HubLabelBytes() int64 }](b); ok {
 			if v := hb.HubLabelBytes(); v > max {
 				max = v
 			}

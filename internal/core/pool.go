@@ -351,3 +351,23 @@ func FanOut(ctx context.Context, workers int, queries []int32, query func(contex
 	}
 	return results, nil
 }
+
+// Probe asserts an optional capability against a backend, walking
+// decorator chains (interface{ Unwrap() any }, as the response cache
+// implements), so a cache around a pool, a live store or a cluster
+// coordinator still answers its target's probes. The outermost
+// implementation wins.
+func Probe[T any](b any) (T, bool) {
+	for b != nil {
+		if t, ok := b.(T); ok {
+			return t, true
+		}
+		u, ok := b.(interface{ Unwrap() any })
+		if !ok {
+			break
+		}
+		b = u.Unwrap()
+	}
+	var zero T
+	return zero, false
+}

@@ -261,3 +261,28 @@ func TestPoolPermitAccounting(t *testing.T) {
 		t.Errorf("peak occupancy = %d, want within [1, pool size 3]", peak)
 	}
 }
+
+// decorator wraps a backend the way the response cache does: it exposes
+// the wrapped value through Unwrap and implements none of its methods.
+type decorator struct{ inner any }
+
+func (d decorator) Unwrap() any { return d.inner }
+
+// TestProbeWalksDecorators: Probe finds a capability on the backend
+// itself or behind any number of decorators, and reports a missing one.
+func TestProbeWalksDecorators(t *testing.T) {
+	p := NewPool(gen.GNM(10, 20, false, 1), Options{}, 1)
+	type generationer interface{ Generation() uint64 }
+	for _, b := range []any{p, decorator{p}, decorator{decorator{p}}} {
+		got, ok := Probe[generationer](b)
+		if !ok || got != generationer(p) {
+			t.Errorf("Probe(%T) = %v, %v; want the pool", b, got, ok)
+		}
+	}
+	if _, ok := Probe[interface{ Mutate() }](decorator{p}); ok {
+		t.Error("Probe found a capability no layer implements")
+	}
+	if _, ok := Probe[generationer](nil); ok {
+		t.Error("Probe(nil) reported a capability")
+	}
+}

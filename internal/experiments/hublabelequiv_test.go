@@ -17,7 +17,7 @@ import (
 // topology: 1/2/4/8 shards, per-query and batch scatter, with and
 // without a response cache in front (cached entries are exercised by
 // querying everything twice). The labeling is shared by all shards
-// through core.Options, exactly as rkcluster wires it.
+// through core.Options, exactly as rkserve -topology wires it.
 func TestHubLabelShardCacheBatchEquivalence(t *testing.T) {
 	r, err := NewRunner(Small())
 	if err != nil {

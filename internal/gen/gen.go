@@ -271,8 +271,8 @@ func StoreClasses(n int, stores []int32) (candidates, counted []bool) {
 
 // Named builds the synthetic graph a serving command's -gen flag selects
 // (dblp|epinions|road|gnm). The parameter choices live here ONCE because
-// rkserve shards and a rkcluster coordinator must load graphs that agree
-// node for node and edge for edge: two per-command copies drifting apart
+// rkserve shards and their rkserve -topology coordinator must load graphs
+// that agree node for node and edge for edge: copies drifting apart
 // would pass the coordinator's node-count check and still merge silently
 // wrong.
 func Named(kind string, nodes int, seed int64) (*graph.Graph, error) {

@@ -71,8 +71,9 @@ type RelabelParams struct {
 // Config configures NewStore.
 type Config struct {
 	// Options are the engine options every state's pool is built with.
-	// Options.Labels is ignored (pass Labels below); Options.Candidates
-	// is ignored when CandidateFunc is set.
+	// Options.Labels optionally attaches a hub labeling, enabling HubLabel
+	// queries; see RelabelParams for what happens under churn.
+	// Options.Candidates is ignored when CandidateFunc is set.
 	Options core.Options
 	// PoolSize sizes each state's engine pool (<= 0 derives a default).
 	PoolSize int
@@ -81,11 +82,8 @@ type Config struct {
 	// changes replace it with an empty index of the same MaxK (it
 	// re-learns from traffic, exactly like a cold start).
 	Index ridx.Index
-	// Labels optionally attaches a hub labeling, enabling HubLabel
-	// queries. See RelabelParams for what happens under churn.
-	Labels *hub.Labels
 	// Relabel tunes the background relabeling (only meaningful with
-	// Labels).
+	// Options.Labels).
 	Relabel RelabelParams
 	// CandidateFunc recomputes the candidate mask for each rebuilt graph
 	// (cluster shard masks must cover vertices added after boot). Nil
@@ -161,10 +159,11 @@ func NewStore(g *graph.Graph, cfg Config) (*Store, error) {
 	if cfg.Index != nil && cfg.Index.N() != g.N() {
 		return nil, fmt.Errorf("live: index covers %d nodes, graph has %d", cfg.Index.N(), g.N())
 	}
-	if cfg.Labels != nil && cfg.Labels.N() != g.N() {
-		return nil, fmt.Errorf("live: labels cover %d nodes, graph has %d", cfg.Labels.N(), g.N())
+	labels := cfg.Options.Labels
+	if labels != nil && labels.N() != g.N() {
+		return nil, fmt.Errorf("live: labels cover %d nodes, graph has %d", labels.N(), g.N())
 	}
-	s := &Store{cfg: cfg, hubLabeled: cfg.Labels != nil, om: cfg.Metrics}
+	s := &Store{cfg: cfg, hubLabeled: labels != nil, om: cfg.Metrics}
 	if s.om == nil {
 		s.om = obs.NewMetrics(nil)
 	}
@@ -178,7 +177,7 @@ func NewStore(g *graph.Graph, cfg Config) (*Store, error) {
 	// Generations start at 1: on the wire, stamp 0 means "backend without
 	// live mutations", which is what lets a cluster merge live and static
 	// shard answers without false skew.
-	st := &state{gen: 1, g: g, edges: graph.NewEdgeStore(g), idx: cfg.Index, labels: cfg.Labels, opts: opts}
+	st := &state{gen: 1, g: g, edges: graph.NewEdgeStore(g), idx: cfg.Index, labels: labels, opts: opts}
 	if st.pool, err = s.buildPool(st.g, opts, st.idx, st.labels); err != nil {
 		return nil, err
 	}
@@ -495,8 +494,8 @@ func (s *Store) buildLabels(g *graph.Graph) (*hub.Labels, error) {
 	p := s.cfg.Relabel
 	count := p.Count
 	if count <= 0 {
-		if s.cfg.Labels != nil {
-			count = s.cfg.Labels.HubCount()
+		if l := s.cfg.Options.Labels; l != nil {
+			count = l.HubCount()
 		} else {
 			count = g.N()
 		}

@@ -85,7 +85,7 @@ func TestStoreLabelLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	om := obs.NewMetrics(nil)
-	s := mustStore(t, g, Config{PoolSize: 1, Labels: labels, Metrics: om})
+	s := mustStore(t, g, Config{Options: core.Options{Labels: labels}, PoolSize: 1, Metrics: om})
 
 	if !s.HubLabeled() || s.LabelsStale() {
 		t.Fatal("boot state must be labeled and fresh")
@@ -131,7 +131,7 @@ func TestStoreRelabelDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := mustStore(t, g, Config{PoolSize: 1, Labels: labels, Relabel: RelabelParams{Disable: true}})
+	s := mustStore(t, g, Config{Options: core.Options{Labels: labels}, PoolSize: 1, Relabel: RelabelParams{Disable: true}})
 	if _, err := s.Mutate(ctx, []graph.Mutation{graph.SetWeight(0, 1, 9)}); err != nil {
 		t.Fatal(err)
 	}

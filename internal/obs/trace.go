@@ -288,7 +288,8 @@ func FromContext(ctx context.Context) *Trace {
 
 // RequestIDFromContext returns the request ID carried by the context's
 // trace, or "". The API client injects it into the X-Request-Id header
-// so rkcluster traces stitch across machines.
+// so a coordinator's traces stitch with its remote shards' across
+// machines.
 func RequestIDFromContext(ctx context.Context) string {
 	return FromContext(ctx).ID()
 }

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"rkranks/internal/api"
+	"rkranks/internal/core"
 	"rkranks/internal/ridx"
 )
 
@@ -28,7 +29,7 @@ const maxDeltaBatch = 8192
 
 // replicatedIndex probes the backend for a replication-capable index.
 func (s *Server) replicatedIndex() (*ridx.Replicated, bool) {
-	src, ok := probeBackend[interface{ Index() ridx.Index }](s.backend)
+	src, ok := core.Probe[interface{ Index() ridx.Index }](s.backend)
 	if !ok {
 		return nil, false
 	}

@@ -162,9 +162,10 @@ type Config struct {
 
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the serving
 	// mux, so CPU/heap/alloc profiles of the query path can be captured in
-	// situ (rkserve/rkcluster -pprof; see CONTRIBUTING.md for the
-	// workflow). Off by default: the endpoints expose internals and a CPU
-	// profile costs ~1% while running, so production opts in deliberately.
+	// situ (rkserve -pprof, on a coordinator too; see CONTRIBUTING.md for
+	// the workflow). Off by default: the endpoints expose internals and a
+	// CPU profile costs ~1% while running, so production opts in
+	// deliberately.
 	EnablePprof bool
 
 	// HealthExtra is merged into the /healthz document (reserved keys are
@@ -313,22 +314,22 @@ func (s *Server) registerGauges() {
 		return 0
 	})
 	om.RegisterGauge("rkranks_pool_size", func() float64 { return float64(s.backend.Size()) })
-	if gn, ok := probeBackend[interface{ Generation() uint64 }](s.backend); ok {
+	if gn, ok := core.Probe[interface{ Generation() uint64 }](s.backend); ok {
 		om.RegisterGauge("rkranks_generation", func() float64 { return float64(gn.Generation()) })
 	}
-	if cb, ok := probeBackend[interface{ CSRBytes() int64 }](s.backend); ok {
+	if cb, ok := core.Probe[interface{ CSRBytes() int64 }](s.backend); ok {
 		om.RegisterGauge("rkranks_csr_bytes", func() float64 { return float64(cb.CSRBytes()) })
 	} else {
 		g := s.cfg.Graph
 		om.RegisterGauge("rkranks_csr_bytes", func() float64 { return float64(g.CSRBytes()) })
 	}
-	if hb, ok := probeBackend[interface{ HubLabelBytes() int64 }](s.backend); ok {
+	if hb, ok := core.Probe[interface{ HubLabelBytes() int64 }](s.backend); ok {
 		om.RegisterGauge("rkranks_hub_label_bytes", func() float64 { return float64(hb.HubLabelBytes()) })
 	}
-	if cb, ok := probeBackend[interface{ CacheBytes() int64 }](s.backend); ok {
+	if cb, ok := core.Probe[interface{ CacheBytes() int64 }](s.backend); ok {
 		om.RegisterGauge("rkranks_cache_bytes", func() float64 { return float64(cb.CacheBytes()) })
 	}
-	if ce, ok := probeBackend[interface{ CacheEntries() int64 }](s.backend); ok {
+	if ce, ok := core.Probe[interface{ CacheEntries() int64 }](s.backend); ok {
 		om.RegisterGauge("rkranks_cache_entries", func() float64 { return float64(ce.CacheEntries()) })
 	}
 	if repl, ok := s.replicatedIndex(); ok {
@@ -593,7 +594,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, r, start, http.StatusBadRequest, codeInvalidArgument, err.Error())
 		return
 	}
-	mut, ok := probeBackend[Mutator](s.backend)
+	mut, ok := core.Probe[Mutator](s.backend)
 	if !ok {
 		s.reject(w, r, start, http.StatusNotImplemented, codeUnimplemented,
 			"backend serves an immutable graph (run with live mutations enabled)")
@@ -672,10 +673,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// A live backend's graph evolves past Config.Graph (vertex adds,
 	// topology rebuilds): report the current snapshot when one is exposed.
 	g := s.cfg.Graph
-	if gb, ok := probeBackend[interface{ Graph() *graph.Graph }](s.backend); ok {
+	if gb, ok := core.Probe[interface{ Graph() *graph.Graph }](s.backend); ok {
 		g = gb.Graph()
 	}
-	_, mutable := probeBackend[Mutator](s.backend)
+	_, mutable := core.Probe[Mutator](s.backend)
 	doc := map[string]any{
 		"status":      state,
 		"uptime_sec":  time.Since(s.started).Seconds(),
@@ -686,15 +687,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"algorithm":   s.defaultAlgo.String(),
 		"mutable":     mutable,
 	}
-	if sc, ok := probeBackend[interface{ ShardCount() int }](s.backend); ok {
+	if sc, ok := core.Probe[interface{ ShardCount() int }](s.backend); ok {
 		doc["shards"] = sc.ShardCount()
 	}
-	if hl, ok := probeBackend[interface{ HubLabeled() bool }](s.backend); ok {
+	if hl, ok := core.Probe[interface{ HubLabeled() bool }](s.backend); ok {
 		doc["hub_labeled"] = hl.HubLabeled()
 	}
 	// A draining server reports its generation too: a coordinator's mutate
 	// retry guard reads it to tell an applied batch from a lost one.
-	if gn, ok := probeBackend[interface{ Generation() uint64 }](s.backend); ok {
+	if gn, ok := core.Probe[interface{ Generation() uint64 }](s.backend); ok {
 		doc["generation"] = gn.Generation()
 	}
 	for k, v := range s.cfg.HealthExtra {
@@ -703,24 +704,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, status, doc)
-}
-
-// probeBackend asserts a capability against a backend, walking Unwrap
-// decorator chains (a response cache around a cluster coordinator still
-// answers the cluster probes). The outermost implementation wins.
-func probeBackend[T any](b any) (T, bool) {
-	for b != nil {
-		if t, ok := b.(T); ok {
-			return t, true
-		}
-		u, ok := b.(interface{ Unwrap() any })
-		if !ok {
-			break
-		}
-		b = u.Unwrap()
-	}
-	var zero T
-	return zero, false
 }
 
 // --- helpers ------------------------------------------------------------

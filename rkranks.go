@@ -75,10 +75,10 @@
 // prunes with the bounds of the whole candidate class, as one node
 // would, and returns every one of its own candidates that is in the
 // merged top k, so one merge is exact.
-// cmd/rkcluster serves the same coordinator over HTTP, with shards
+// rkserve -topology serves the same coordinator over HTTP, with shards
 // in-process or on remote rkserve instances (rkserve -shard i/P); see the
 // README's "Clustered serving". Each shard may be a replica SET
-// (ClusterOptions.Replicas, or per-shard replica lists in a Topology
+// (ClusterOptions.Replicas, or per-shard replica lists in a topology
 // file): queries load-balance across healthy replicas and fail over
 // without changing a byte of any answer, and replicas inherit a leader's
 // learned index state over /v1/index/snapshot + /v1/index/deltas instead
@@ -280,9 +280,6 @@ type ClusterOptions struct {
 	// in lockstep. Queries refuse to merge answers from two graph
 	// generations (they retry, then fail with a generation-skew error).
 	Live bool
-	// Labels attaches a hub labeling to every live shard (Live only; see
-	// NewLiveBackend for staleness semantics under mutations).
-	Labels *HubLabels
 	// Relabel tunes the live shards' background relabeling (Live only).
 	Relabel RelabelParams
 }
@@ -294,11 +291,13 @@ type ClusterOptions struct {
 // its k; each shard bounds the whole candidate class as one node would,
 // so it does about one node's work per query, and returns every one of
 // its own candidates that is in the merged top k. The same coordinator
-// type also fronts remote rkserve shards (see cmd/rkcluster); this
+// type also fronts remote rkserve shards (see rkserve -topology); this
 // constructor covers the in-process topology.
 //
 // With ClusterOptions.Live, shards are live stores instead of static
 // pools and the coordinator accepts mutation batches (Cluster.Mutate).
+// opts.Labels attaches one hub labeling to every shard either way (see
+// NewLiveBackend for staleness semantics under mutations).
 func NewCluster(g *Graph, opts Options, co ClusterOptions) (*Cluster, error) {
 	if co.Shards == 0 {
 		co.Shards = 1
@@ -322,52 +321,10 @@ func NewCluster(g *Graph, opts Options, co ClusterOptions) (*Cluster, error) {
 		return cluster.NewLocalLive(g, live.Config{
 			Options:  opts,
 			PoolSize: co.PoolSize,
-			Labels:   co.Labels,
 			Relabel:  co.Relabel,
 		}, indexMaxK, part, co.Shards, co.Replicas, cfg)
 	}
 	return cluster.NewLocal(g, opts, part, co.Shards, co.Replicas, co.PoolSize, co.Index, cfg)
-}
-
-// Declarative cluster topology. cmd/rkcluster boots from one JSON
-// document instead of positional flags: the shard layout, the replica
-// set behind each shard, and the coordinator options all live in one
-// reviewable file (see the README's "Replication & failover" for the
-// format). The types are shared with the wire package, so a topology
-// serializes the same way everywhere.
-type (
-	// Topology declares a whole cluster: coordinator options plus either
-	// a Local section (in-process shards) or a Shards list (remote
-	// replica sets). The zero value of every field means "use the sane
-	// default".
-	Topology = api.Topology
-	// TopologyShard is one shard's replica set: the rkserve base URLs
-	// that all serve the same shard mask.
-	TopologyShard = api.TopologyShard
-	// LocalTopology declares in-process shards (the -local equivalent).
-	LocalTopology = api.LocalTopology
-)
-
-// ReadTopology parses and validates a topology document (strict JSON:
-// unknown fields are errors, so typos fail the boot instead of silently
-// meaning their default). Invalid documents fail with an error wrapping
-// ErrInvalidOptions.
-func ReadTopology(r io.Reader) (*Topology, error) {
-	t, err := api.ReadTopology(r)
-	if err != nil {
-		return nil, optErr("%s", err)
-	}
-	return t, nil
-}
-
-// ValidateTopology checks a programmatically built Topology the same way
-// ReadTopology checks a parsed one, returning an ErrInvalidOptions-
-// wrapping error for out-of-range values.
-func ValidateTopology(t *Topology) error {
-	if err := t.Validate(); err != nil {
-		return optErr("%s", err)
-	}
-	return nil
 }
 
 // ReplicatedIndex wraps a ConcurrentIndex with a replication delta log:
@@ -432,7 +389,10 @@ func AddVertices(count int) Mutation { return graph.AddVertices(count) }
 type LiveOptions struct {
 	// Options configures the engines exactly like NewPool; bichromatic
 	// Candidates/Counted masks are carried across rebuilds (new vertices
-	// join both classes).
+	// join both classes). Options.Labels enables HubLabel queries.
+	// Mutations mark the labeling stale: HubLabel queries transparently
+	// fall back to Dynamic (identical answers, less pruning) until a
+	// background relabel completes.
 	Options Options
 	// PoolSize sizes the engine pool (<= 0 derives a default).
 	PoolSize int
@@ -441,13 +401,8 @@ type LiveOptions struct {
 	// from traffic); topology rebuilds replace it with an empty index at
 	// the same MaxK.
 	Index Index
-	// Labels, when non-nil, enables HubLabel queries. Mutations mark the
-	// labeling stale: HubLabel queries transparently fall back to Dynamic
-	// (identical answers, less pruning) until a background relabel
-	// completes.
-	Labels *HubLabels
 	// Relabel tunes the background relabeling that runs after mutations
-	// when Labels were attached.
+	// when Options.Labels was attached.
 	Relabel RelabelParams
 }
 
@@ -468,12 +423,11 @@ func NewLiveBackend(g *Graph, o LiveOptions) (*LiveBackend, error) {
 		Options:  o.Options,
 		PoolSize: o.PoolSize,
 		Index:    o.Index,
-		Labels:   o.Labels,
 		Relabel:  o.Relabel,
 	})
 }
 
-// HTTP client for rkserve / rkcluster instances. The same wire types
+// HTTP client for rkserve instances. The same wire types
 // back the servers themselves, so the client is always in sync with the
 // protocol (one error envelope, one request schema, versioned paths).
 type (
@@ -491,8 +445,8 @@ type (
 	ClientAlgorithm = api.Algorithm
 )
 
-// NewClient returns a Client for the rkserve or rkcluster instance at
-// base (e.g. "http://localhost:8080"):
+// NewClient returns a Client for the rkserve instance at base
+// (e.g. "http://localhost:8080"):
 //
 //	c := rkranks.NewClient("http://localhost:8080")
 //	res, err := c.Query(ctx, "", q, 10, 0) // server-default algorithm, no timeout
@@ -515,8 +469,8 @@ type CacheOptions struct {
 // memory, and concurrent duplicates admit ONE engine permit while the
 // followers wait on the leader's canonical result. The wrapper serves
 // the same query surface as what it wraps, so it drops in anywhere a
-// Pool or Cluster was used (including server configurations; rkserve and
-// rkcluster expose it as -cache-mb):
+// Pool or Cluster was used (including server configurations; rkserve
+// exposes it as -cache-mb):
 //
 //	pool, _ := rkranks.NewPoolWithIndex(g, rkranks.Options{}, 0, ix)
 //	cached, _ := rkranks.NewCachedBackend(pool, rkranks.CacheOptions{MaxMB: 64})
@@ -602,7 +556,7 @@ func BuildHubLabels(g *Graph, p HubLabelParams) (*HubLabels, error) {
 }
 
 // SaveHubLabels writes a hub labeling to a file in the versioned binary
-// format rkserve and rkcluster load with -hub-load.
+// format rkserve loads with -hub-load.
 func SaveHubLabels(path string, l *HubLabels) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -195,7 +195,7 @@ func TestLiveMutationOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lb, err := rkranks.NewLiveBackend(g, rkranks.LiveOptions{Index: ix, Labels: labels})
+		lb, err := rkranks.NewLiveBackend(g, rkranks.LiveOptions{Options: rkranks.Options{Labels: labels}, Index: ix})
 		if err != nil {
 			t.Fatal(err)
 		}

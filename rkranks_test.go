@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
 	"rkranks"
+	"rkranks/internal/gen"
 )
 
 // toyGraph rebuilds the paper's Figure-1 example through the public API.
@@ -483,9 +483,9 @@ func TestPublicCachedBackend(t *testing.T) {
 }
 
 // TestPublicReplicatedCluster: ClusterOptions.Replicas runs each shard
-// as a replica set with byte-identical answers, the topology helpers
-// round-trip and reject through ErrInvalidOptions, and a
-// ReplicatedIndex drops in wherever an Index is accepted.
+// as a replica set with byte-identical answers, a negative count fails
+// with ErrInvalidOptions, and a ReplicatedIndex drops in wherever an
+// Index is accepted.
 func TestPublicReplicatedCluster(t *testing.T) {
 	g, id := toyGraph()
 	cl, err := rkranks.NewCluster(g, rkranks.Options{}, rkranks.ClusterOptions{Shards: 2, Replicas: 2})
@@ -514,21 +514,6 @@ func TestPublicReplicatedCluster(t *testing.T) {
 		t.Errorf("Replicas: -1: %v", err)
 	}
 
-	topo, err := rkranks.ReadTopology(strings.NewReader(`{"local": {"shards": 2, "replicas": 2}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if topo.Local.ShardCount() != 2 || topo.Local.ReplicaCount() != 2 {
-		t.Errorf("topology counts = %d/%d, want 2/2", topo.Local.ShardCount(), topo.Local.ReplicaCount())
-	}
-	if _, err := rkranks.ReadTopology(strings.NewReader(`{"sharts": 2}`)); !errors.Is(err, rkranks.ErrInvalidOptions) {
-		t.Errorf("unknown topology field: %v", err)
-	}
-	bad := &rkranks.Topology{Local: &rkranks.LocalTopology{Shards: 1}, Shards: []rkranks.TopologyShard{{Replicas: []string{"http://a"}}}}
-	if err := rkranks.ValidateTopology(bad); !errors.Is(err, rkranks.ErrInvalidOptions) {
-		t.Errorf("local+shards topology: %v", err)
-	}
-
 	ix, err := rkranks.BuildIndex(g, rkranks.IndexParams{
 		HubFraction: 0.5, RankFraction: 0.5, MaxK: 10, Strategy: rkranks.DegreeHubs,
 	})
@@ -549,6 +534,64 @@ func TestPublicReplicatedCluster(t *testing.T) {
 	for i := range want {
 		if ires.Entries[i] != want[i] {
 			t.Fatalf("replicated indexed cluster diverged: %v vs %v", ires.Entries, want)
+		}
+	}
+}
+
+// TestLabelsAttachThroughOptions: Options.Labels is the one place a hub
+// labeling attaches, and every backend constructor honours it: each
+// reports HubLabeled and answers HubLabel with Dynamic's entries.
+func TestLabelsAttachThroughOptions(t *testing.T) {
+	g, err := gen.Named("dblp", 400, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels, err := rkranks.BuildHubLabels(g, rkranks.HubLabelParams{Count: 40, Strategy: rkranks.DegreeHubs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := rkranks.Options{Labels: labels}
+	type backend interface {
+		QueryContext(ctx context.Context, a rkranks.Algorithm, q int32, k int) (*rkranks.Result, error)
+		HubLabeled() bool
+	}
+	cases := []struct {
+		name  string
+		build func() (backend, error)
+	}{
+		{"NewPool", func() (backend, error) { return rkranks.NewPool(g, opts, 1), nil }},
+		{"NewLiveBackend", func() (backend, error) {
+			return rkranks.NewLiveBackend(g, rkranks.LiveOptions{Options: opts, PoolSize: 1})
+		}},
+		{"NewCluster", func() (backend, error) {
+			return rkranks.NewCluster(g, opts, rkranks.ClusterOptions{Shards: 2, PoolSize: 1})
+		}},
+		{"NewCluster live", func() (backend, error) {
+			return rkranks.NewCluster(g, opts, rkranks.ClusterOptions{Shards: 2, PoolSize: 1, Live: true})
+		}},
+	}
+	ctx := context.Background()
+	for _, tc := range cases {
+		b, err := tc.build()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !b.HubLabeled() {
+			t.Errorf("%s: HubLabeled() = false", tc.name)
+		}
+		for _, q := range []int32{0, 17, 399} {
+			want, err := b.QueryContext(ctx, rkranks.Dynamic, q, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := b.QueryContext(ctx, rkranks.HubLabel, q, 10)
+			if err != nil {
+				t.Errorf("%s: HubLabel q=%d: %v", tc.name, q, err)
+				continue
+			}
+			if fmt.Sprint(got.Entries) != fmt.Sprint(want.Entries) {
+				t.Errorf("%s: HubLabel q=%d = %v, Dynamic %v", tc.name, q, got.Entries, want.Entries)
+			}
 		}
 	}
 }
